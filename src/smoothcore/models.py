@@ -35,6 +35,15 @@ def _normal_logpdf(x, mean, sd):
     return -0.5 * z * z - np.log(sd) - 0.5 * _LOG_2PI
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    # a NaN slips through every ordered comparison, so check it by name
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        label = ", ".join(str(i) for i in index)
+        raise ValueError(f"{name}[{label}] = {values[index]} is not finite")
+
+
 @dataclass(frozen=True)
 class MixingBounds:
     """Two-sided bounds on the transition density plus a likelihood floor.
@@ -237,6 +246,7 @@ def make_lgm(
     y = np.asarray(observations, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("observations must be a nonempty 1-d sequence")
+    _require_finite("observations", y)
 
     initial_sd = sigma_u / math.sqrt(1.0 - phi * phi)
 
@@ -290,6 +300,7 @@ def make_svm(
     y = np.asarray(observations, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("observations must be a nonempty 1-d sequence")
+    _require_finite("observations", y)
 
     initial_sd = sigma / math.sqrt(1.0 - phi * phi)
     log_beta = math.log(beta)
@@ -323,12 +334,35 @@ def make_svm(
     )
 
 
-def _row_categorical(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # one draw per row; first index whose cumulative mass strictly
-    # exceeds the uniform
-    cdf = np.cumsum(rows, axis=1)
+def categorical_rows(
+    probabilities: np.ndarray, uniforms: np.ndarray, rows=None
+) -> np.ndarray:
+    """Inverse-CDF draws from the rows of a probability table.
+
+    Draw m reads row ``rows[m]`` (row m when ``rows`` is None) and
+    returns the first index whose cumulative probability strictly
+    exceeds ``uniforms[m]``.  Each row's last cumulative entry is forced
+    to 1, so every uniform in [0, 1) lands.  The lookup is a vectorised
+    bisection over the row cumsums: ceil(log2 K) gathers per draw and no
+    (draws, K) comparison matrix.
+    """
+    cdf = np.cumsum(probabilities, axis=1)
     cdf[:, -1] = 1.0
-    return np.argmax(cdf > u[:, None], axis=1)
+    uniforms = np.asarray(uniforms, dtype=float)
+    width = cdf.shape[1]
+    if rows is None:
+        rows = np.arange(uniforms.size)
+    base = np.asarray(rows, dtype=np.int64) * width
+    flat = cdf.ravel()
+    lo = np.zeros(uniforms.size, dtype=np.int64)
+    hi = np.full(uniforms.size, width - 1, dtype=np.int64)
+    # the answer lies in [lo, hi]; each pass halves that interval
+    for _ in range((width - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        above = flat[base + mid] > uniforms
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid + 1)
+    return lo
 
 
 def make_finite_hmm(
@@ -366,6 +400,7 @@ def make_finite_hmm(
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"transition matrix must be square, got shape {P.shape}")
     K = P.shape[0]
+    _require_finite("transition_matrix", P)
     if np.any(P <= 0.0):
         raise ValueError(
             "transition matrix entries must be strictly positive; "
@@ -377,10 +412,12 @@ def make_finite_hmm(
         raise ValueError(
             f"emission rows must have {K} columns, got {E.shape[1]}"
         )
+    _require_finite("emission", E)
     if np.any(E <= 0.0):
         raise ValueError("emission likelihoods must be strictly positive")
     if chi.shape != (K,):
         raise ValueError(f"initial distribution must have shape ({K},)")
+    _require_finite("initial", chi)
     if np.any(chi < 0.0) or abs(chi.sum() - 1.0) > 1e-12:
         raise ValueError("initial distribution must be nonnegative and sum to 1")
 
@@ -412,7 +449,7 @@ def make_finite_hmm(
 
     def transition_sampler(x, rng):
         x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-        return _row_categorical(P[x], rng.random(x.size))
+        return categorical_rows(P, rng.random(x.size), x)
 
     def observation_log_density(t, x):
         return log_E[t, np.asarray(x, dtype=np.int64)]
@@ -517,7 +554,7 @@ def simulate_finite_hmm(transition_matrix, observation_matrix, initial, horizon,
     Pcdf[:, -1] = 1.0
     for t in range(horizon):
         states[t + 1] = np.searchsorted(Pcdf[states[t]], rng.random(), side="right")
-    symbols = _row_categorical(B[states], rng.random(horizon + 1))
+    symbols = categorical_rows(B, rng.random(horizon + 1), states)
     return states, symbols
 
 

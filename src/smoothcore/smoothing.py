@@ -16,14 +16,20 @@ smoothing distribution:
   sums through the filter's genealogy and reads off the weighted
   average at the final step.
 
-Backward kernel rows are normalized in log space and are only
-materialized as full matrices inside the O(N^2) deterministic paths.
+All four backward smoothers go through one per-step
+:class:`BackwardKernel`.  Its rows are built in log space, one per
+distinct target *state* (a row depends on nothing else, so a finite
+chain needs K rows per step), and swept in cache-sized blocks that are
+normalized in place and consumed at once by a mat-vec or a row draw.
+Only :func:`backward_matrix` and the lagged (r >= 1) backward
+contraction hold a full (N, N) matrix.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,6 +53,7 @@ from .models import (
     AdditiveFunctional,
     AuxiliaryProposal,
     StateSpaceModel,
+    categorical_rows,
     format_float,
 )
 
@@ -100,24 +107,6 @@ class SmoothingEstimate:
 
 
 @dataclass(frozen=True)
-class BackwardMatrixRow:
-    """One backward kernel row: the distribution over time t particles
-    conditioned on a target particle at time t+1."""
-
-    time_index: int
-    target_index: int
-    probabilities: np.ndarray
-
-
-@dataclass(frozen=True)
-class ForwardSmoothingState:
-    """Per-particle running statistics of the forward smoothing pass."""
-
-    t: int
-    statistics: np.ndarray
-
-
-@dataclass(frozen=True)
 class RejectionStats:
     """Counts from one rejection-sampling backward pass."""
 
@@ -132,30 +121,162 @@ class RejectionStats:
         return self.accepted / self.proposals
 
 
-def _backward_log_numerators(
-    history: ParticleHistory,
-    model: StateSpaceModel,
-    t: int,
-    next_states: np.ndarray,
-) -> np.ndarray:
-    # entry [m, j] = log w_t^j + log m(x_t^j, next_states[m])
-    sources = history.positions[t]
-    return history.log_weights[t][None, :] + np.asarray(
-        model.transition_log_density(sources[None, :], next_states[:, None]),
-        dtype=float,
+# Bytes of float64 in one block of backward rows, about 64 rows at
+# N = 1000: a block's log-kernel, exp and row sums stay in cache while
+# it is consumed.  Blocks of 16 rows, and one block of all N rows, both
+# measured slower on the benchmark cell.
+_BLOCK_BYTES = 512 * 1024
+# The model's log density is called on slices of at most this many bytes
+# of output, because its temporaries are as large as its output.  At 512
+# KB, glibc's malloc unmapped them after each block in a fresh process,
+# which then took ~3.6k page faults per step at N = 1000 and ran 1.8x
+# slower; at 128 KB they stay on the heap.
+_MODEL_CALL_BYTES = 128 * 1024
+
+
+class BackwardKernel:
+    """The backward kernel from the time t+1 cloud onto the time t cloud.
+
+    Row j of target particle i is ``w_t^j m(x_t^j, x_{t+1}^i)``,
+    normalized over j.  A row depends only on the target's state, so
+    every operation builds one row per distinct target value, in blocks
+    of at most ``_BLOCK_BYTES`` that are exponentiated in place and
+    consumed before the next block is built.  Target indices refer to
+    the time t+1 cloud.
+    """
+
+    def __init__(
+        self,
+        model: StateSpaceModel,
+        t: int,
+        positions: np.ndarray,
+        log_weights: np.ndarray,
+        next_positions: np.ndarray,
+    ):
+        self.model = model
+        self.t = t
+        self.positions = positions
+        self.log_weights = log_weights
+        self.next_positions = next_positions
+        self.block = max(1, _BLOCK_BYTES // (8 * positions.shape[0]))
+        self.call_rows = max(1, _MODEL_CALL_BYTES // (8 * positions.shape[0]))
+
+    def _blocks(self, targets: np.ndarray | None):
+        """Yield ``(values, rows, mass, members, which)`` per block of
+        distinct target values.  ``rows`` holds the rows of ``values``
+        exponentiated after subtracting each row's max, ``mass`` their
+        sums (divide by it to normalize), and target
+        ``targets[members[m]]`` reads row ``which[m]``.
+        ``targets=None`` means the whole time t+1 cloud."""
+        if targets is None:
+            targets = np.arange(self.next_positions.shape[0])
+        values, first, inverse = np.unique(
+            self.next_positions[targets], return_index=True, return_inverse=True
+        )
+        order = np.argsort(inverse, kind="stable")
+        grouped = inverse[order]
+        # one buffer serves every block: each block is consumed before
+        # the next one overwrites it
+        buffer = np.empty((min(self.block, values.size), self.positions.shape[0]))
+        for start in range(0, values.size, self.block):
+            stop = min(start + self.block, values.size)
+            rows = buffer[: stop - start]
+            for lo in range(start, stop, self.call_rows):
+                hi = min(lo + self.call_rows, stop)
+                np.add(
+                    self.log_weights,
+                    self.model.transition_log_density(
+                        self.positions[None, :], values[lo:hi, None]
+                    ),
+                    out=rows[lo - start : hi - start],
+                )
+            top = np.max(rows, axis=1, keepdims=True)
+            bad = ~np.isfinite(top[:, 0])
+            if np.any(bad):
+                target = targets[first[start + int(np.argmax(bad))]]
+                raise DegenerateBackwardRowError(self.t, int(target))
+            rows -= top
+            np.exp(rows, out=rows)
+            mass = rows.sum(axis=1)
+            lo, hi = np.searchsorted(grouped, (start, stop))
+            members = order[lo:hi]
+            yield values[start:stop], rows, mass, members, inverse[members] - start
+
+    def left(self, v: np.ndarray) -> np.ndarray:
+        """``v . Lambda``: carries a law over the time t+1 cloud back onto
+        the time t cloud (the backward marginal recursion)."""
+        if self.model.finite is not None:
+            return self._left_finite(v)
+        out = np.zeros(self.positions.shape[0])
+        for _, rows, mass, members, which in self._blocks(None):
+            credit = np.bincount(which, weights=v[members], minlength=len(rows))
+            out += (credit / mass) @ rows
+        return out
+
+    def _left_finite(self, v: np.ndarray) -> np.ndarray:
+        # the same sums associated through the K states of a finite
+        # chain: O(N + K^2) instead of O(K N)
+        P = self.model.finite.transition
+        K = P.shape[0]
+        sources = np.asarray(self.positions, dtype=np.int64)
+        targets = np.asarray(self.next_positions, dtype=np.int64)
+        top = np.max(self.log_weights)
+        if not np.isfinite(top):
+            raise DegenerateBackwardRowError(self.t)
+        weights = np.exp(self.log_weights - top)
+        weight_by_state = np.bincount(sources, weights=weights, minlength=K)
+        denom = (weight_by_state @ P)[targets]
+        if np.any(denom <= 0.0):
+            raise DegenerateBackwardRowError(self.t, int(np.argmax(denom <= 0.0)))
+        credit_by_state = np.bincount(targets, weights=v / denom, minlength=K)
+        return weights * (P @ credit_by_state)[sources]
+
+    def right(self, s: np.ndarray, pair=None) -> np.ndarray:
+        """``Lambda . s``: the mean of s over each target's row, for every
+        time t+1 particle.  With ``pair``, a callable taking a column of
+        target values and returning their (rows, N) pair terms, each row
+        averages ``s + pair(target)`` instead."""
+        out = np.empty(self.next_positions.shape[0])
+        for values, rows, mass, members, which in self._blocks(None):
+            if pair is None:
+                means = (rows @ s) / mass
+            else:
+                means = np.sum(rows * (s + pair(values[:, None])), axis=1) / mass
+            out[members] = means[which]
+        return out
+
+    def draw(self, targets: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """One time t index per target, from the target's row by exact
+        inverse CDF with the matching uniform."""
+        drawn = np.empty(targets.size, dtype=np.int64)
+        for _, rows, mass, members, which in self._blocks(targets):
+            rows /= mass[:, None]
+            drawn[members] = categorical_rows(rows, uniforms[members], which)
+        return drawn
+
+    def rows(self, targets: np.ndarray | None = None) -> np.ndarray:
+        """The rows of the given targets (default: every time t+1
+        particle) as a (targets, N) array."""
+        size = self.next_positions.shape[0] if targets is None else targets.size
+        out = np.empty((size, self.positions.shape[0]))
+        for _, rows, mass, members, which in self._blocks(targets):
+            rows /= mass[:, None]
+            out[members] = rows[which]
+        return out
+
+
+def _kernel(history: ParticleHistory, model: StateSpaceModel, t: int) -> BackwardKernel:
+    if not 0 <= t <= history.horizon - 1:
+        raise IndexError(
+            f"backward rows exist for t in 0..{history.horizon - 1}, got {t}"
+        )
+    return BackwardKernel(
+        model,
+        t,
+        history.positions[t],
+        history.log_weights[t],
+        history.positions[t + 1],
     )
-
-
-def _normalize_rows(log_rows: np.ndarray, t: int, target_hint=None) -> np.ndarray:
-    top = np.max(log_rows, axis=1, keepdims=True)
-    bad = ~np.isfinite(top[:, 0])
-    if np.any(bad):
-        index = int(np.argmax(bad))
-        target = index if target_hint is None else int(np.asarray(target_hint)[index])
-        raise DegenerateBackwardRowError(t, target)
-    rows = np.exp(log_rows - top)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return rows
 
 
 def backward_row(
@@ -163,38 +284,24 @@ def backward_row(
     model: StateSpaceModel,
     t: int,
     target_index: int,
-) -> BackwardMatrixRow:
+) -> np.ndarray:
     """Backward kernel row for one target particle at time t+1.
 
     The row reweights the time t cloud by the transition density into
     the target position and normalizes; it sums to 1 by construction.
     """
-    if not 0 <= t <= history.horizon - 1:
-        raise IndexError(
-            f"backward rows exist for t in 0..{history.horizon - 1}, got {t}"
-        )
+    kernel = _kernel(history, model, t)
     if not 0 <= target_index < history.n_particles:
         raise IndexError(f"target index {target_index} out of range")
-    target = history.positions[t + 1][target_index : target_index + 1]
-    log_rows = _backward_log_numerators(history, model, t, target)
-    row = _normalize_rows(log_rows, t, [target_index])[0]
-    return BackwardMatrixRow(
-        time_index=t, target_index=target_index, probabilities=row
-    )
+    return kernel.rows(np.array([target_index]))[0]
 
 
 def backward_matrix(
     history: ParticleHistory, model: StateSpaceModel, t: int
 ) -> np.ndarray:
     """All backward rows at time t as an (N, N) matrix; row i conditions
-    on particle i at time t+1.  This is the O(N^2) materialization the
-    deterministic smoothers use."""
-    if not 0 <= t <= history.horizon - 1:
-        raise IndexError(
-            f"backward rows exist for t in 0..{history.horizon - 1}, got {t}"
-        )
-    log_rows = _backward_log_numerators(history, model, t, history.positions[t + 1])
-    return _normalize_rows(log_rows, t)
+    on particle i at time t+1."""
+    return _kernel(history, model, t).rows()
 
 
 def _check_functional(history: ParticleHistory, functional: AdditiveFunctional):
@@ -224,7 +331,7 @@ def _term_on_grid(
     return np.asarray(functional.term(t, *slices), dtype=float)
 
 
-def _ffbs_backward_generic(
+def _ffbs_backward(
     history: ParticleHistory,
     model: StateSpaceModel,
     functional: AdditiveFunctional,
@@ -232,62 +339,24 @@ def _ffbs_backward_generic(
     r = functional.lag
     horizon = history.horizon
     marginal = normalized_weights(history, horizon)
+    # Lambda_{t-1}, ..., Lambda_{t-r}: each matrix is built once and
+    # serves r consecutive terms
+    ring: deque[np.ndarray] = deque()
     total = 0.0
     for t in range(horizon, r - 1, -1):
+        while len(ring) < r:
+            ring.append(backward_matrix(history, model, t - 1 - len(ring)))
         block = marginal
-        step_back = None
-        for k in range(1, r + 1):
-            lam = backward_matrix(history, model, t - k)
-            if k == 1:
-                step_back = lam
-            # prepend the time t-k axis without contracting anything
+        for lam in ring:
+            # prepend the earlier time axis without contracting anything
             block = np.einsum("ij,i...->ji...", lam, block)
         grid = _term_on_grid(functional, t, history.positions)
         total += float(np.sum(block * grid))
         if t > r:
-            if step_back is None:
-                step_back = backward_matrix(history, model, t - 1)
-            marginal = marginal @ step_back
-    return total
-
-
-def _ffbs_backward_finite_lag0(
-    history: ParticleHistory,
-    model: StateSpaceModel,
-    functional: AdditiveFunctional,
-) -> float:
-    # same sums as the generic path, associated through the K states of
-    # a finite chain: O(T (N + K^2)) instead of O(T N^2)
-    P = model.finite.transition
-    K = P.shape[0]
-    horizon = history.horizon
-    marginal = normalized_weights(history, horizon)
-    total = 0.0
-    for t in range(horizon, -1, -1):
-        values = np.asarray(
-            functional.term(t, history.positions[t]), dtype=float
-        )
-        total += float(marginal @ values)
-        if t == 0:
-            break
-        sources = np.asarray(history.positions[t - 1], dtype=np.int64)
-        targets = np.asarray(history.positions[t], dtype=np.int64)
-        logw = history.log_weights[t - 1]
-        top = np.max(logw)
-        if not np.isfinite(top):
-            raise DegenerateBackwardRowError(t - 1)
-        weights = np.exp(logw - top)
-        weight_by_state = np.bincount(sources, weights=weights, minlength=K)
-        denom_by_state = weight_by_state @ P
-        denom = denom_by_state[targets]
-        if np.any(denom <= 0.0):
-            raise DegenerateBackwardRowError(
-                t - 1, int(np.argmax(denom <= 0.0))
-            )
-        credit_by_state = np.bincount(
-            targets, weights=marginal / denom, minlength=K
-        )
-        marginal = weights * (P @ credit_by_state)[sources]
+            if r:
+                marginal = marginal @ ring.popleft()
+            else:
+                marginal = _kernel(history, model, t - 1).left(marginal)
     return total
 
 
@@ -300,15 +369,12 @@ def ffbs_backward_additive(
 
     Runs the backward marginal recursion from the final weights and
     contracts each term against the joint law of ``lag + 1``
-    consecutive indices.  The lag 0 path on finite-state models uses an
-    exact state-space regrouping of the same sums.
+    consecutive indices.  On finite-state models the lag 0 recursion
+    uses an exact state-space regrouping of the same sums.
     """
     started = time.perf_counter()
     _check_functional(history, functional)
-    if functional.lag == 0 and model.finite is not None:
-        value = _ffbs_backward_finite_lag0(history, model, functional)
-    else:
-        value = _ffbs_backward_generic(history, model, functional)
+    value = _ffbs_backward(history, model, functional)
     return SmoothingEstimate(
         method=METHOD_FFBS_BACKWARD,
         value=value,
@@ -342,51 +408,38 @@ def ffbs_forward_additive(
         _check_functional(history_stream, functional)
     steps = iter(stream_or_history(history_stream))
 
-    first = next(steps)
-    prev_positions = first.positions
-    prev_log_weights = first.log_weights
-    n = prev_positions.shape[0]
+    prev = next(steps)
+    n = prev.positions.shape[0]
     if r == 0:
-        statistics = np.asarray(functional.term(0, prev_positions), dtype=float)
+        statistics = np.asarray(functional.term(0, prev.positions), dtype=float)
     else:
         statistics = np.zeros(n)
-    state = ForwardSmoothingState(t=0, statistics=statistics)
-    last_log_weights = prev_log_weights
 
     for step in steps:
         t = step.t
-        log_rows = prev_log_weights[None, :] + np.asarray(
-            model.transition_log_density(
-                prev_positions[None, :], step.positions[:, None]
-            ),
-            dtype=float,
+        kernel = BackwardKernel(
+            model, t - 1, prev.positions, prev.log_weights, step.positions
         )
-        rows = _normalize_rows(log_rows, t - 1)
         if r == 0:
-            new_stats = rows @ state.statistics + np.asarray(
+            statistics = kernel.right(statistics) + np.asarray(
                 functional.term(t, step.positions), dtype=float
             )
         else:
-            pair_terms = np.asarray(
-                functional.term(
-                    t, prev_positions[None, :], step.positions[:, None]
+            sources = prev.positions[None, :]
+            statistics = kernel.right(
+                statistics,
+                pair=lambda targets: np.asarray(
+                    functional.term(t, sources, targets), dtype=float
                 ),
-                dtype=float,
             )
-            new_stats = np.sum(
-                rows * (state.statistics[None, :] + pair_terms), axis=1
-            )
-        state = ForwardSmoothingState(t=t, statistics=new_stats)
-        prev_positions = step.positions
-        prev_log_weights = step.log_weights
-        last_log_weights = step.log_weights
+        prev = step
 
-    if state.t != functional.horizon:
+    if prev.t != functional.horizon:
         raise ValueError(
-            f"stream ended at t={state.t}, functional horizon is "
+            f"stream ended at t={prev.t}, functional horizon is "
             f"{functional.horizon}"
         )
-    value = float(exp_normalize(last_log_weights) @ state.statistics)
+    value = float(exp_normalize(prev.log_weights) @ statistics)
     return SmoothingEstimate(
         method=METHOD_FFBS_FORWARD,
         value=value,
@@ -396,25 +449,6 @@ def ffbs_forward_additive(
         seed=None,
         wall_seconds=time.perf_counter() - started,
     )
-
-
-def _sample_rows_for_targets(
-    history: ParticleHistory,
-    model: StateSpaceModel,
-    t: int,
-    target_indices: np.ndarray,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    # exact inverse-CDF draw from the backward row of each target;
-    # rows are computed once per distinct target
-    unique_targets, inverse = np.unique(target_indices, return_inverse=True)
-    log_rows = _backward_log_numerators(
-        history, model, t, history.positions[t + 1][unique_targets]
-    )
-    rows = _normalize_rows(log_rows, t, unique_targets)
-    cdf = np.cumsum(rows, axis=1)
-    cdf[:, -1] = 1.0
-    return np.argmax(cdf[inverse] > uniforms[:, None], axis=1).astype(np.int64)
 
 
 def ffbsi_sample_paths(
@@ -436,8 +470,8 @@ def ffbsi_sample_paths(
     final_weights = normalized_weights(history, horizon)
     paths[:, horizon] = categorical_indices(final_weights, rng.random(n_paths))
     for t in range(horizon - 1, -1, -1):
-        paths[:, t] = _sample_rows_for_targets(
-            history, model, t, paths[:, t + 1], rng.random(n_paths)
+        paths[:, t] = _kernel(history, model, t).draw(
+            paths[:, t + 1], rng.random(n_paths)
         )
     return paths
 
@@ -517,8 +551,8 @@ def ffbsi_rejection_sample_paths(
             pending = pending[~accept]
         if pending.size:
             fallback_count += pending.size
-            drawn[pending] = _sample_rows_for_targets(
-                history, model, t, paths[pending, t + 1], rng.random(pending.size)
+            drawn[pending] = _kernel(history, model, t).draw(
+                paths[pending, t + 1], rng.random(pending.size)
             )
         paths[:, t] = drawn
 

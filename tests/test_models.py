@@ -8,6 +8,7 @@ from scipy.stats import norm
 
 import smoothcore as sc
 from conftest import B2, CHI2, P2
+from smoothcore.models import categorical_rows
 
 
 def test_lgm_densities_match_reference_normals():
@@ -164,6 +165,34 @@ def test_finite_hmm_constructor_validation():
         sc.make_finite_hmm(P2, E, np.array([0.6, 0.5]))
 
 
+Y_NAN = [0.1, 0.2, 0.3, 0.4, 0.5, np.nan, 0.7]
+E_NAN = np.array([[0.8, 0.3], [0.2, np.nan], [0.8, 0.3]])
+
+
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        (lambda: sc.make_lgm(0.9, 0.6, 1.0, Y_NAN), r"observations\[5\]"),
+        (lambda: sc.make_svm(0.9, 0.5, 1.0, Y_NAN), r"observations\[5\]"),
+        (lambda: sc.make_lgm(0.9, 0.6, 1.0, [0.0, np.inf]), r"observations\[1\]"),
+        (lambda: sc.make_finite_hmm(P2, E_NAN, CHI2), r"emission\[1, 1\]"),
+        (
+            lambda: sc.make_finite_hmm([[np.nan, 0.5], [0.4, 0.6]], E_NAN, CHI2),
+            r"transition_matrix\[0, 0\]",
+        ),
+        (
+            lambda: sc.make_finite_hmm(P2, E_NAN[[0, 2]], [np.nan, 0.4]),
+            r"initial\[0\]",
+        ),
+    ],
+    ids=["lgm", "svm", "lgm-inf", "emission", "transition", "initial"],
+)
+def test_constructors_reject_non_finite_inputs(build, where):
+    # a NaN passes every ordered comparison, so it must be named outright
+    with pytest.raises(ValueError, match=where):
+        build()
+
+
 def test_finite_hmm_densities_are_table_lookups(hmm2):
     x = np.array([0, 1, 0, 1])
     x_next = np.array([0, 0, 1, 1])
@@ -239,3 +268,41 @@ def test_float_formatting_round_trips(value):
     from smoothcore.models import format_float
 
     assert float(format_float(value)) == value
+
+
+def reference_row_draws(probabilities, uniforms, rows):
+    # the comparison-matrix lookup the bisection replaced
+    cdf = np.cumsum(probabilities, axis=1)
+    cdf[:, -1] = 1.0
+    return np.argmax(cdf[rows] > uniforms[:, None], axis=1)
+
+
+def test_categorical_rows_boundaries_per_row():
+    # the categorical_indices boundary cases, each row on its own
+    table = np.array([[0.2, 0.3, 0.5], [0.3, 0.3, 0.3999]])
+    uniforms = np.array([0.0, 0.19999, 0.2, 0.5, 0.9999, 0.99999])
+    rows = np.array([0, 0, 0, 0, 0, 1])
+    assert np.array_equal(
+        categorical_rows(table, uniforms, rows), [0, 0, 1, 2, 2, 2]
+    )
+    # without row indices draw m reads row m
+    assert np.array_equal(categorical_rows(table, np.array([0.2, 0.6])), [1, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_categorical_rows_matches_the_comparison_lookup(width, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.random((n_rows, width))
+    table[rng.random((n_rows, width)) < 0.3] = 0.0  # flat CDF stretches
+    table[:, 0] += 1e-3
+    table /= table.sum(axis=1, keepdims=True)
+    rows = rng.integers(0, n_rows, size=200)
+    uniforms = rng.random(200)
+    # uniforms sitting exactly on CDF values hit the strict inequality
+    cdf = np.cumsum(table, axis=1)
+    uniforms[:50] = cdf[rows[:50], rng.integers(0, width, size=50)] % 1.0
+    assert np.array_equal(
+        categorical_rows(table, uniforms, rows),
+        reference_row_draws(table, uniforms, rows),
+    )

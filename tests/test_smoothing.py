@@ -7,12 +7,15 @@ from scipy import stats
 
 import smoothcore as sc
 from bruteforce import (
+    backward_transition,
     brute_ffbs_value,
     normalized_filter_weights,
     path_functional_value,
     trajectory_probabilities,
 )
 from conftest import B2, CHI2, P2, chi_square_pvalue, make_history, run_hmm_filter
+from smoothcore import smoothing
+from smoothcore.models import categorical_rows
 
 
 def small_hmm(horizon, symbols=None):
@@ -40,16 +43,13 @@ def test_backward_row_hand_computed():
     )
     row = sc.backward_row(history, model, 0, 0)
     # weights (0.2, 0.5, 0.3) against P[x_j, 1] = (0.3, 0.6, 0.3)
-    assert np.allclose(row.probabilities, [2 / 15, 10 / 15, 3 / 15], atol=1e-15)
-    assert row.time_index == 0 and row.target_index == 0
+    assert np.allclose(row, [2 / 15, 10 / 15, 3 / 15], atol=1e-15)
     matrix = sc.backward_matrix(history, model, 0)
-    assert np.allclose(matrix[0], row.probabilities, atol=1e-15)
+    assert np.array_equal(matrix[0], row)
 
 
 def test_backward_rows_match_bruteforce_and_sum_to_one():
     model, history = lgm_case(horizon=4, n_particles=6, seed=31)
-    from bruteforce import backward_transition
-
     for t in range(4):
         matrix = sc.backward_matrix(history, model, t)
         assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
@@ -60,7 +60,7 @@ def test_single_particle_backward_row_is_trivial():
     model, history = lgm_case(horizon=3, n_particles=1, seed=5)
     for t in range(3):
         assert np.array_equal(
-            sc.backward_row(history, model, t, 0).probabilities, [1.0]
+            sc.backward_row(history, model, t, 0), [1.0]
         )
 
 
@@ -74,6 +74,50 @@ def test_backward_row_index_validation():
         sc.backward_row(history, model, 0, 4)
     with pytest.raises(IndexError):
         sc.backward_matrix(history, model, 2)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows):
+    model, history = lgm_case(horizon=3, n_particles=20, seed=121)
+    positions = history.positions.copy()
+    # repeated target states share one row
+    positions[2, 12:] = positions[2, 4:12]
+    history = make_history(positions, history.log_weights)
+    t = 1
+    whole = smoothing.BackwardKernel(
+        model, t, positions[t], history.log_weights[t], positions[t + 1]
+    )
+    assert whole.block >= 20
+    single_block = whole.rows()
+    monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * 20 * block_rows)
+    kernel = smoothing.BackwardKernel(
+        model, t, positions[t], history.log_weights[t], positions[t + 1]
+    )
+    assert kernel.block == block_rows
+
+    matrix = kernel.rows()
+    assert np.array_equal(matrix, single_block)
+    assert np.array_equal(matrix, sc.backward_matrix(history, model, t))
+    assert np.allclose(matrix, backward_transition(history, model, t), atol=1e-12)
+
+    rng = sc.make_rng(122)
+    v = rng.random(20)
+    s = rng.normal(size=20)
+    assert np.allclose(kernel.left(v), v @ matrix, rtol=1e-12, atol=0)
+    assert np.allclose(kernel.right(s), matrix @ s, rtol=1e-12, atol=0)
+    with_pairs = kernel.right(
+        s, pair=lambda targets: np.cos(targets * positions[t][None, :])
+    )
+    expected = np.sum(
+        matrix * (s + np.cos(positions[t + 1][:, None] * positions[t][None, :])), axis=1
+    )
+    assert np.allclose(with_pairs, expected, rtol=1e-12, atol=0)
+
+    targets = rng.integers(0, 20, size=500)
+    uniforms = rng.random(500)
+    assert np.array_equal(
+        kernel.draw(targets, uniforms), categorical_rows(matrix, uniforms, targets)
+    )
 
 
 def test_degenerate_backward_row_raises():
