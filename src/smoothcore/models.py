@@ -352,17 +352,17 @@ def categorical_rows(
     width = cdf.shape[1]
     if rows is None:
         rows = np.arange(uniforms.size)
-    base = np.asarray(rows, dtype=np.int64) * width
+    first = np.asarray(rows, dtype=np.int64) * width
     flat = cdf.ravel()
-    lo = np.zeros(uniforms.size, dtype=np.int64)
-    hi = np.full(uniforms.size, width - 1, dtype=np.int64)
-    # the answer lies in [lo, hi]; each pass halves that interval
+    # the answer's flat position lies in [lo, hi]; each pass halves it
+    lo = first
+    hi = first + (width - 1)
     for _ in range((width - 1).bit_length()):
         mid = (lo + hi) >> 1
-        above = flat[base + mid] > uniforms
+        above = flat[mid] > uniforms
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid + 1)
-    return lo
+    return lo - first
 
 
 def make_finite_hmm(

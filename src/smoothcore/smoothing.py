@@ -20,7 +20,8 @@ All four backward smoothers go through one per-step
 :class:`BackwardKernel`.  Its rows are built in log space, one per
 distinct target *state* (a row depends on nothing else, so a finite
 chain needs K rows per step), and swept in cache-sized blocks that are
-normalized in place and consumed at once by a mat-vec or a row draw.
+exponentiated in place and consumed at once by a mat-vec, which folds
+in each row's normalization, or by an exact row draw.
 Only :func:`backward_matrix` and the lagged (r >= 1) backward
 contraction hold a full (N, N) matrix.
 """
@@ -170,11 +171,17 @@ class BackwardKernel:
         ``targets=None`` means the whole time t+1 cloud."""
         if targets is None:
             targets = np.arange(self.next_positions.shape[0])
-        values, first, inverse = np.unique(
-            self.next_positions[targets], return_index=True, return_inverse=True
-        )
-        order = np.argsort(inverse, kind="stable")
-        grouped = inverse[order]
+        # sort the targets by state: the targets order[starts[k]:starts[k + 1]]
+        # share the k-th distinct state, and row_of numbers them by state
+        states = self.next_positions[targets]
+        order = np.argsort(states, kind="stable")
+        ordered = states[order]
+        fresh = np.empty(ordered.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+        starts = np.append(np.flatnonzero(fresh), ordered.size)
+        row_of = np.cumsum(fresh) - 1
+        values = ordered[starts[:-1]]
         # one buffer serves every block: each block is consumed before
         # the next one overwrites it
         buffer = np.empty((min(self.block, values.size), self.positions.shape[0]))
@@ -190,17 +197,16 @@ class BackwardKernel:
                     ),
                     out=rows[lo - start : hi - start],
                 )
-            top = np.max(rows, axis=1, keepdims=True)
-            bad = ~np.isfinite(top[:, 0])
-            if np.any(bad):
-                target = targets[first[start + int(np.argmax(bad))]]
-                raise DegenerateBackwardRowError(self.t, int(target))
+            top = rows.max(axis=1, keepdims=True)
+            if not np.isfinite(top).all():
+                bad = start + int(np.argmin(np.isfinite(top[:, 0])))
+                target = int(targets[order[starts[bad]]])
+                raise DegenerateBackwardRowError(self.t, target)
             rows -= top
             np.exp(rows, out=rows)
             mass = rows.sum(axis=1)
-            lo, hi = np.searchsorted(grouped, (start, stop))
-            members = order[lo:hi]
-            yield values[start:stop], rows, mass, members, inverse[members] - start
+            lo, hi = starts[start], starts[stop]
+            yield values[start:stop], rows, mass, order[lo:hi], row_of[lo:hi] - start
 
     def left(self, v: np.ndarray) -> np.ndarray:
         """``v . Lambda``: carries a law over the time t+1 cloud back onto

@@ -39,7 +39,9 @@ def lgm_problem():
 
 
 def finite_problem():
-    _, symbols = sc.simulate_finite_hmm(CHAIN, CHAIN, [0.25] * 4, 10, sc.make_rng(2026))
+    _, symbols = sc.simulate_finite_hmm(
+        CHAIN, CHAIN, [0.25] * 4, 10, sc.make_rng(2026)
+    )
     model = sc.make_finite_hmm(
         CHAIN, sc.emissions_from_symbols(CHAIN, symbols), [0.25] * 4
     )
@@ -122,7 +124,9 @@ def test_seeded_draws_and_rows_are_bit_identical(problem):
     assert stats.fallbacks > 0
     observed = {
         "positions": digest(history.positions),
-        "direct": digest(sc.ffbsi_sample_paths(history, model, n_paths, sc.make_rng(7))),
+        "direct": digest(
+            sc.ffbsi_sample_paths(history, model, n_paths, sc.make_rng(7))
+        ),
         "rejection": digest(
             sc.ffbsi_rejection_sample_paths(history, model, n_paths, sc.make_rng(8))
         ),
@@ -137,7 +141,9 @@ def test_seeded_draws_and_rows_are_bit_identical(problem):
 
 
 def test_simulated_finite_chain_is_bit_identical():
-    states, symbols = sc.simulate_finite_hmm(CHAIN, CHAIN, [0.25] * 4, 200, sc.make_rng(2028))
+    states, symbols = sc.simulate_finite_hmm(
+        CHAIN, CHAIN, [0.25] * 4, 200, sc.make_rng(2028)
+    )
     assert digest(states) + digest(symbols) == SIMULATED_DIGEST
 
 

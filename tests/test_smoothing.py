@@ -90,10 +90,11 @@ def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows
     assert whole.block >= 20
     single_block = whole.rows()
     monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * 20 * block_rows)
+    monkeypatch.setattr(smoothing, "_MODEL_CALL_BYTES", 8 * 20 * 2)
     kernel = smoothing.BackwardKernel(
         model, t, positions[t], history.log_weights[t], positions[t + 1]
     )
-    assert kernel.block == block_rows
+    assert kernel.block == block_rows and kernel.call_rows == 2
 
     matrix = kernel.rows()
     assert np.array_equal(matrix, single_block)
@@ -136,6 +137,8 @@ def test_degenerate_backward_row_raises():
     with pytest.raises(sc.DegenerateBackwardRowError) as info:
         sc.backward_matrix(history, broken, 0)
     assert info.value.time_index == 0
+    # both targets sit in state 1; the first one is named
+    assert info.value.target_index == 0
 
 
 def test_identity_kernel_rows_equal_filter_weights():
