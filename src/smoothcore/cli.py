@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .experiments import (
-    MODEL_TYPES,
+    _build_model,
+    _check_functional_spec,
     estimate_once,
     fit_bound_scale,
     load_config,
@@ -36,10 +37,12 @@ from .experiments import (
 )
 from .models import (
     make_finite_hmm,
+    make_lgm,
     read_observations_csv,
     simulate_lgm,
     simulate_svm,
     state_sum_functional,
+    text_file,
     write_observations_csv,
     format_float,
 )
@@ -54,12 +57,14 @@ from .rng import make_rng
 from .smoothing import ESTIMATE_CSV_HEADER, METHOD_NAMES, SmoothingEstimate
 
 
+def _output(out: str | None):
+    """The ``--out`` path, or stdout when none was given."""
+    return sys.stdout if out is None else out
+
+
 def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    with text_file(_output(out), "w") as handle:
+        handle.write(text)
 
 
 def _continuous_params(args) -> dict:
@@ -101,22 +106,13 @@ def _cmd_generate(args) -> int:
         x, y = simulate_svm(
             params["phi"], params["sigma"], params["beta"], args.horizon, rng
         )
-    if args.out is None:
-        write_observations_csv(sys.stdout, x, y)
-    else:
-        write_observations_csv(args.out, x, y)
+    write_observations_csv(_output(args.out), x, y)
     return 0
 
 
 def _cmd_smooth(args) -> int:
-    from .models import make_lgm, make_svm
-
     _, y = read_observations_csv(args.data)
-    params = _continuous_params(args)
-    if args.model == "lgm":
-        model = make_lgm(params["phi"], params["sigma_u"], params["sigma_v"], y)
-    else:
-        model = make_svm(params["phi"], params["sigma"], params["beta"], y)
+    model = _build_model(args.model, _continuous_params(args), y)
     horizon = y.size - 1
     functional = state_sum_functional(horizon)
     value, wall = estimate_once(model, functional, args.method, args.n, args.seed)
@@ -127,9 +123,9 @@ def _cmd_smooth(args) -> int:
         horizon=horizon,
         lag=functional.lag,
         seed=args.seed,
-        wall_seconds=wall,
     )
-    text = ESTIMATE_CSV_HEADER + "\n" + estimate.csv_row(args.zero_timings) + "\n"
+    row = estimate.csv_row(0.0 if args.zero_timings else wall)
+    text = ESTIMATE_CSV_HEADER + "\n" + row + "\n"
     _write_text(text, args.out)
     return 0
 
@@ -177,7 +173,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _load_oracle_config(path: str, *, want_functional: bool) -> dict:
+def _load_oracle_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -187,24 +183,14 @@ def _load_oracle_config(path: str, *, want_functional: bool) -> dict:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = {"transition", "emissions", "initial"}
-    if want_functional:
-        allowed = allowed | {"functional"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {"transition", "emissions", "initial", "functional"}
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     for key in ("transition", "emissions", "initial"):
         if key not in raw:
             raise ConfigError("required key missing", field=key)
-    functional = raw.get("functional", {"r": 0, "kind": "state_sum"})
-    if not isinstance(functional, dict):
-        raise ConfigError("must be an object", field="functional")
-    if set(functional) - {"r", "kind"}:
-        raise ConfigError("unknown keys", field="functional")
-    if functional.get("kind", "state_sum") != "state_sum":
-        raise ConfigError("only the state_sum kind exists", field="functional.kind")
-    if functional.get("r", 0) != 0:
-        raise ConfigError("state_sum has lag 0", field="functional.r")
+    if "functional" in raw:
+        _check_functional_spec(raw["functional"])
     return raw
 
 
@@ -215,14 +201,11 @@ def _cmd_oracle(args) -> int:
         if args.sum:
             _write_text(format_float(result.smoothed_state_sum) + "\n", args.out)
             return 0
-        if args.out is None:
-            write_kalman_csv(result, sys.stdout)
-        else:
-            write_kalman_csv(result, args.out)
+        write_kalman_csv(result, _output(args.out))
         return 0
 
     if args.oracle == "hmm":
-        raw = _load_oracle_config(args.config, want_functional=True)
+        raw = _load_oracle_config(args.config)
         model = make_finite_hmm(raw["transition"], raw["emissions"], raw["initial"])
         horizon = model.n_observations - 1
         value = exact_hmm_smooth(model, state_sum_functional(horizon))
@@ -231,7 +214,7 @@ def _cmd_oracle(args) -> int:
 
     # gamma
     if args.config is not None:
-        raw = _load_oracle_config(args.config, want_functional=True)
+        raw = _load_oracle_config(args.config)
         model = make_finite_hmm(raw["transition"], raw["emissions"], raw["initial"])
         horizon = model.n_observations - 1
         value = path_space_asymptotic_variance(
@@ -240,8 +223,6 @@ def _cmd_oracle(args) -> int:
     else:
         if args.data is None:
             raise ConfigError("gamma needs --config or lgm flags with --data")
-        from .models import make_lgm
-
         if args.phi is None or args.sigma_u is None or args.sigma_v is None:
             raise ConfigError("gamma on an lgm needs --phi --sigma-u --sigma-v")
         _, y = read_observations_csv(args.data)

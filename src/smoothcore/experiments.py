@@ -47,6 +47,7 @@ from .models import (
     simulate_lgm,
     simulate_svm,
     state_sum_functional,
+    text_file,
 )
 from .rng import derive_seed, make_rng
 from .smoothing import (
@@ -97,8 +98,6 @@ class ExperimentGrid:
     particle_counts: tuple[int, ...]
     replicates: int
     master_seed: int
-    functional_lag: int = 0
-    functional_kind: str = "state_sum"
     out: str | None = None
 
     def __post_init__(self):
@@ -129,12 +128,6 @@ class ExperimentGrid:
             raise ValueError(
                 "at least 2 replicates are needed for an unbiased variance"
             )
-        if self.functional_kind != "state_sum":
-            raise ValueError(
-                f"unknown functional kind {self.functional_kind!r}"
-            )
-        if self.functional_lag != 0:
-            raise ValueError("the state_sum functional has lag 0")
 
 
 @dataclass
@@ -163,7 +156,10 @@ class VarianceTable:
         return any(row.error is not None for row in self.rows)
 
     def to_csv(self, file=None, zero_timings: bool = False) -> str | None:
-        def emit(handle):
+        """Write the table to a path or text handle, or return it as a
+        string when ``file`` is None."""
+        target = io.StringIO() if file is None else file
+        with text_file(target, "w") as handle:
             handle.write(TABLE_CSV_HEADER + "\n")
             for row in self.rows:
                 wall = 0.0 if zero_timings else row.mean_wall_seconds
@@ -182,21 +178,13 @@ class VarianceTable:
                     )
                     + "\n"
                 )
-
-        if file is None:
-            buffer = io.StringIO()
-            emit(buffer)
-            return buffer.getvalue()
-        if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-            with open(file, "w", encoding="utf-8", newline="") as handle:
-                emit(handle)
-            return None
-        emit(file)
-        return None
+        return target.getvalue() if file is None else None
 
     @classmethod
     def from_csv(cls, file) -> "VarianceTable":
-        def parse(handle):
+        """Read a table written by :meth:`to_csv` from a path or text
+        handle."""
+        with text_file(file, "r") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header != TABLE_CSV_HEADER.split(","):
@@ -219,17 +207,33 @@ class VarianceTable:
                         replicates=int(record[7]),
                     )
                 )
-            return cls(rows=rows)
-
-        if isinstance(file, io.TextIOBase):
-            return parse(file)
-        with open(file, "r", encoding="utf-8", newline="") as handle:
-            return parse(handle)
+        return cls(rows=rows)
 
 
 def _require(condition, message, fieldname=None):
     if not condition:
         raise ConfigError(message, field=fieldname)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_functional_spec(spec) -> None:
+    """Validate a config's ``functional`` object.  The one functional a
+    config can name is ``{"r": 0, "kind": "state_sum"}``."""
+    _require(isinstance(spec, dict), "must be an object", fieldname="functional")
+    unknown = set(spec) - {"r", "kind"}
+    _require(not unknown, f"unknown keys: {sorted(unknown)}", fieldname="functional")
+    _require("r" in spec, "missing 'r'", fieldname="functional")
+    _require("kind" in spec, "missing 'kind'", fieldname="functional")
+    _require(
+        spec["kind"] == "state_sum",
+        f"unknown functional kind {spec['kind']!r}",
+        fieldname="functional.kind",
+    )
+    _require(_is_int(spec["r"]), "must be an integer", fieldname="functional.r")
+    _require(spec["r"] == 0, "the state_sum functional has lag 0", "functional.r")
 
 
 def grid_from_mapping(raw: dict) -> ExperimentGrid:
@@ -267,7 +271,7 @@ def grid_from_mapping(raw: dict) -> ExperimentGrid:
     _require(
         isinstance(horizons, list)
         and horizons
-        and all(isinstance(t, int) and not isinstance(t, bool) for t in horizons),
+        and all(_is_int(t) for t in horizons),
         "must be a nonempty list of integers",
         fieldname="T",
     )
@@ -275,33 +279,15 @@ def grid_from_mapping(raw: dict) -> ExperimentGrid:
     _require(
         isinstance(counts, list)
         and counts
-        and all(isinstance(n, int) and not isinstance(n, bool) for n in counts),
+        and all(_is_int(n) for n in counts),
         "must be a nonempty list of integers",
         fieldname="N",
     )
     replicates = raw["replicates"]
-    _require(
-        isinstance(replicates, int) and not isinstance(replicates, bool),
-        "must be an integer",
-        fieldname="replicates",
-    )
+    _require(_is_int(replicates), "must be an integer", fieldname="replicates")
     seed = raw["seed"]
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool),
-        "must be an integer",
-        fieldname="seed",
-    )
-
-    functional = raw["functional"]
-    _require(
-        isinstance(functional, dict), "must be an object", fieldname="functional"
-    )
-    unknown = set(functional) - {"r", "kind"}
-    _require(
-        not unknown, f"unknown keys: {sorted(unknown)}", fieldname="functional"
-    )
-    _require("r" in functional, "missing 'r'", fieldname="functional")
-    _require("kind" in functional, "missing 'kind'", fieldname="functional")
+    _require(_is_int(seed), "must be an integer", fieldname="seed")
+    _check_functional_spec(raw["functional"])
 
     out = raw.get("out")
     if out is not None:
@@ -316,8 +302,6 @@ def grid_from_mapping(raw: dict) -> ExperimentGrid:
             particle_counts=tuple(counts),
             replicates=replicates,
             master_seed=seed,
-            functional_lag=functional["r"],
-            functional_kind=functional["kind"],
             out=out,
         )
     except ValueError as exc:
@@ -375,7 +359,8 @@ def estimate_once(
     """Run one method once from one derived seed.
 
     Returns ``(value, wall_seconds)`` where the wall time spans the
-    whole pipeline (filter included).  Asking for rejection sampling on
+    whole pipeline (filter included); the estimators do not time
+    themselves.  Asking for rejection sampling on
     a model without mixing bounds quietly runs the direct backward draw
     instead, which targets the same law.
     """
@@ -449,7 +434,7 @@ def _run_cell(payload: dict) -> dict:
         "method": method,
         "horizon": horizon,
         "n_particles": n_particles,
-        "lag": payload["lag"],
+        "lag": functional.lag,
         "variance": variance,
         "mean_estimate": mean,
         "mean_wall_seconds": wall,
@@ -501,7 +486,6 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None) -> VarianceTable:
             "horizon": horizon,
             "method": method,
             "n_particles": n_particles,
-            "lag": grid.functional_lag,
             "replicates": grid.replicates,
             "master_seed": grid.master_seed,
         }

@@ -18,12 +18,18 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import FilterDegeneracyError
-from .models import AuxiliaryProposal, StateSpaceModel, format_float
+from .models import (
+    AuxiliaryProposal,
+    StateSpaceModel,
+    categorical_indices,
+    format_float,
+    text_file,
+)
 
 
 class FilterStep(NamedTuple):
@@ -87,16 +93,6 @@ def exp_normalize(log_values: np.ndarray) -> np.ndarray:
         raise ValueError("cannot normalize: all log values are -inf")
     w = np.exp(log_values - top)
     return w / w.sum()
-
-
-def categorical_indices(
-    probabilities: np.ndarray, uniforms: np.ndarray
-) -> np.ndarray:
-    """Inverse-CDF lookup: for each uniform, the first index whose
-    cumulative probability strictly exceeds it."""
-    cdf = np.cumsum(probabilities)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
 
 
 def filter_steps(
@@ -222,8 +218,7 @@ def effective_sample_size(history: ParticleHistory, t: int) -> float:
 def dump_history_csv(history: ParticleHistory, file) -> None:
     """Debug dump: one row per (t, particle) with position, log weight,
     ancestor (-1 at time 0)."""
-
-    def emit(handle):
+    with text_file(file, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["t", "particle", "position", "log_weight", "ancestor"])
         for t in range(history.horizon + 1):
@@ -238,16 +233,3 @@ def dump_history_csv(history: ParticleHistory, file) -> None:
                         ancestor,
                     ]
                 )
-
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        with open(file, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
-    else:
-        emit(file)
-
-
-def stream_or_history(source) -> Iterable[FilterStep]:
-    """Accept either a ParticleHistory or an iterable of FilterStep."""
-    if isinstance(source, ParticleHistory):
-        return history_steps(source)
-    return source

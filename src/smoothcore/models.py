@@ -19,9 +19,10 @@ arrays and broadcast.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -334,6 +335,16 @@ def make_svm(
     )
 
 
+def categorical_indices(
+    probabilities: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Inverse-CDF lookup: for each uniform, the first index whose
+    cumulative probability strictly exceeds it."""
+    cdf = np.cumsum(probabilities)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
+
+
 def categorical_rows(
     probabilities: np.ndarray, uniforms: np.ndarray, rows=None
 ) -> np.ndarray:
@@ -363,6 +374,27 @@ def categorical_rows(
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid + 1)
     return lo - first
+
+
+def _check_chain(P: np.ndarray, chi: np.ndarray) -> None:
+    """Reject a transition matrix or initial law that is not a strictly
+    positive square row-stochastic matrix and a law over its states."""
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError(f"transition matrix must be square, got shape {P.shape}")
+    K = P.shape[0]
+    _require_finite("transition_matrix", P)
+    if np.any(P <= 0.0):
+        raise ValueError(
+            "transition matrix entries must be strictly positive; "
+            "a zero entry breaks the two-sided density bounds"
+        )
+    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
+        raise ValueError("transition matrix rows must sum to 1 within 1e-12")
+    if chi.shape != (K,):
+        raise ValueError(f"initial distribution must have shape ({K},)")
+    _require_finite("initial", chi)
+    if np.any(chi < 0.0) or abs(chi.sum() - 1.0) > 1e-12:
+        raise ValueError("initial distribution must be nonnegative and sum to 1")
 
 
 def make_finite_hmm(
@@ -397,17 +429,8 @@ def make_finite_hmm(
     E = np.atleast_2d(np.asarray(emission, dtype=float))
     chi = np.asarray(initial, dtype=float)
 
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"transition matrix must be square, got shape {P.shape}")
+    _check_chain(P, chi)
     K = P.shape[0]
-    _require_finite("transition_matrix", P)
-    if np.any(P <= 0.0):
-        raise ValueError(
-            "transition matrix entries must be strictly positive; "
-            "a zero entry breaks the two-sided density bounds"
-        )
-    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-        raise ValueError("transition matrix rows must sum to 1 within 1e-12")
     if E.shape[1] != K:
         raise ValueError(
             f"emission rows must have {K} columns, got {E.shape[1]}"
@@ -415,11 +438,6 @@ def make_finite_hmm(
     _require_finite("emission", E)
     if np.any(E <= 0.0):
         raise ValueError("emission likelihoods must be strictly positive")
-    if chi.shape != (K,):
-        raise ValueError(f"initial distribution must have shape ({K},)")
-    _require_finite("initial", chi)
-    if np.any(chi < 0.0) or abs(chi.sum() - 1.0) > 1e-12:
-        raise ValueError("initial distribution must be nonnegative and sum to 1")
 
     log_P = np.log(P)
     log_E = np.log(E)
@@ -435,11 +453,8 @@ def make_finite_hmm(
         c_minus=min(predictive_floors),
     )
 
-    initial_cdf = np.cumsum(chi)
-    initial_cdf[-1] = 1.0
-
     def initial_sampler(rng, n):
-        return np.searchsorted(initial_cdf, rng.random(n), side="right").astype(np.int64)
+        return categorical_indices(chi, rng.random(n))
 
     def initial_log_density(x):
         return log_chi[np.asarray(x, dtype=np.int64)]
@@ -541,19 +556,16 @@ def simulate_finite_hmm(transition_matrix, observation_matrix, initial, horizon,
     chi = np.asarray(initial, dtype=float)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    _check_chain(P, chi)
     if B.ndim != 2 or B.shape[0] != P.shape[0]:
         raise ValueError("observation matrix must have one row per state")
     if np.max(np.abs(B.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("observation matrix rows must sum to 1 within 1e-12")
 
     states = np.empty(horizon + 1, dtype=np.int64)
-    cdf0 = np.cumsum(chi)
-    cdf0[-1] = 1.0
-    states[0] = np.searchsorted(cdf0, rng.random(), side="right")
-    Pcdf = np.cumsum(P, axis=1)
-    Pcdf[:, -1] = 1.0
+    states[0] = categorical_indices(chi, rng.random(1))[0]
     for t in range(horizon):
-        states[t + 1] = np.searchsorted(Pcdf[states[t]], rng.random(), side="right")
+        states[t + 1] = categorical_indices(P[states[t]], rng.random(1))[0]
     symbols = categorical_rows(B, rng.random(horizon + 1), states)
     return states, symbols
 
@@ -571,6 +583,23 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+@contextlib.contextmanager
+def text_file(file, mode: str):
+    """Text handle for a path or an open handle, as every reader and
+    writer takes them.
+
+    A ``str``, ``bytes`` or ``os.PathLike`` is opened as UTF-8 with
+    ``newline=""`` (so the csv module controls line endings) and closed
+    on exit; anything else is taken to be an open text handle and is
+    passed through unclosed.
+    """
+    if isinstance(file, (str, bytes, os.PathLike)):
+        with open(file, mode, encoding="utf-8", newline="") as handle:
+            yield handle
+    else:
+        yield file
+
+
 def write_observations_csv(file, x_true, y) -> None:
     """Write a simulated sequence as ``t,x_true,y`` rows.
 
@@ -582,23 +611,19 @@ def write_observations_csv(file, x_true, y) -> None:
     if x_true.shape != y.shape or x_true.ndim != 1:
         raise ValueError("x_true and y must be 1-d arrays of equal length")
 
-    def emit(handle):
+    with text_file(file, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["t", "x_true", "y"])
         for t in range(x_true.size):
             writer.writerow([t, format_float(x_true[t]), format_float(y[t])])
 
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        with open(file, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
-    else:
-        emit(file)
-
 
 def read_observations_csv(file):
-    """Read a ``t,x_true,y`` CSV back into ``(x_true, y)`` arrays."""
+    """Read a ``t,x_true,y`` CSV back into ``(x_true, y)`` arrays.
 
-    def parse(handle):
+    ``file`` is a path or a text file object, as for the writer.
+    """
+    with text_file(file, "r") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["t", "x_true", "y"]:
@@ -609,11 +634,6 @@ def read_observations_csv(file):
                 continue
             xs.append(float(row[1]))
             ys.append(float(row[2]))
-        if not ys:
-            raise ValueError("no data rows in observations file")
-        return np.asarray(xs), np.asarray(ys)
-
-    if isinstance(file, io.TextIOBase):
-        return parse(file)
-    with open(file, "r", encoding="utf-8", newline="") as handle:
-        return parse(handle)
+    if not ys:
+        raise ValueError("no data rows in observations file")
+    return np.asarray(xs), np.asarray(ys)

@@ -27,9 +27,13 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import UnsupportedLagError, UnsupportedModelError
-from .models import AdditiveFunctional, StateSpaceModel, format_float
-
-_LOG_2PI = math.log(2.0 * math.pi)
+from .models import (
+    _LOG_2PI,
+    AdditiveFunctional,
+    StateSpaceModel,
+    format_float,
+    text_file,
+)
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,8 @@ def kalman_smooth(
 
 
 def write_kalman_csv(result: KalmanResult, file) -> None:
-    """Write per-step posterior moments as CSV."""
-
-    def emit(handle):
+    """Write per-step posterior moments as CSV to a path or text handle."""
+    with text_file(file, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["t", "filtered_mean", "filtered_var", "smoothed_mean", "smoothed_var"]
@@ -148,12 +151,6 @@ def write_kalman_csv(result: KalmanResult, file) -> None:
                     format_float(result.smoothed_var[t]),
                 ]
             )
-
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        with open(file, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
-    else:
-        emit(file)
 
 
 def _require_finite(model: StateSpaceModel):

@@ -29,7 +29,6 @@ contraction hold a full (N, N) matrix.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -44,16 +43,16 @@ from .errors import (
 from .filtering import (
     FilterStep,
     ParticleHistory,
-    categorical_indices,
     exp_normalize,
     filter_steps,
+    history_steps,
     normalized_weights,
-    stream_or_history,
 )
 from .models import (
     AdditiveFunctional,
     AuxiliaryProposal,
     StateSpaceModel,
+    categorical_indices,
     categorical_rows,
     format_float,
 )
@@ -85,15 +84,15 @@ class SmoothingEstimate:
     horizon: int
     lag: int
     seed: int | None
-    wall_seconds: float
 
     def __post_init__(self):
         if self.method not in METHOD_NAMES:
             raise ValueError(f"unknown method name {self.method!r}")
 
-    def csv_row(self, zero_timings: bool = False) -> str:
+    def csv_row(self, wall_seconds: float) -> str:
+        """One ``ESTIMATE_CSV_HEADER`` row; ``wall_seconds`` is the
+        pipeline's wall time, which the estimate does not carry."""
         seed = "" if self.seed is None else str(self.seed)
-        wall = 0.0 if zero_timings else self.wall_seconds
         return ",".join(
             [
                 self.method,
@@ -102,7 +101,7 @@ class SmoothingEstimate:
                 str(self.lag),
                 seed,
                 format_float(self.value),
-                format_float(wall),
+                format_float(wall_seconds),
             ]
         )
 
@@ -378,7 +377,6 @@ def ffbs_backward_additive(
     consecutive indices.  On finite-state models the lag 0 recursion
     uses an exact state-space regrouping of the same sums.
     """
-    started = time.perf_counter()
     _check_functional(history, functional)
     value = _ffbs_backward(history, model, functional)
     return SmoothingEstimate(
@@ -388,7 +386,6 @@ def ffbs_backward_additive(
         horizon=history.horizon,
         lag=functional.lag,
         seed=None,
-        wall_seconds=time.perf_counter() - started,
     )
 
 
@@ -404,7 +401,6 @@ def ffbs_forward_additive(
     filter step.  Supports lags 0 and 1; the result matches
     :func:`ffbs_backward_additive` up to floating-point roundoff.
     """
-    started = time.perf_counter()
     r = functional.lag
     if r not in (0, 1):
         raise UnsupportedLagError(
@@ -412,7 +408,8 @@ def ffbs_forward_additive(
         )
     if isinstance(history_stream, ParticleHistory):
         _check_functional(history_stream, functional)
-    steps = iter(stream_or_history(history_stream))
+        history_stream = history_steps(history_stream)
+    steps = iter(history_stream)
 
     prev = next(steps)
     n = prev.positions.shape[0]
@@ -453,7 +450,6 @@ def ffbs_forward_additive(
         horizon=functional.horizon,
         lag=r,
         seed=None,
-        wall_seconds=time.perf_counter() - started,
     )
 
 
@@ -579,7 +575,6 @@ def ffbsi_estimate(
     seed: int | None = None,
 ) -> SmoothingEstimate:
     """Average the additive functional along sampled index trajectories."""
-    started = time.perf_counter()
     _check_functional(history, functional)
     trajectories = np.asarray(trajectories)
     if trajectories.ndim != 2 or trajectories.shape[1] != history.horizon + 1:
@@ -605,7 +600,6 @@ def ffbsi_estimate(
         horizon=history.horizon,
         lag=r,
         seed=seed,
-        wall_seconds=time.perf_counter() - started,
     )
 
 
@@ -624,7 +618,6 @@ def path_space_estimate(
     sums with the ancestors.  Returns the weighted average of the sums
     at the final step.  Memory stays O(N) in the horizon.
     """
-    started = time.perf_counter()
     r = functional.lag
     sums = np.zeros(max(n_particles, 0))
     window: list[np.ndarray] = []
@@ -652,5 +645,4 @@ def path_space_estimate(
         horizon=functional.horizon,
         lag=r,
         seed=seed,
-        wall_seconds=time.perf_counter() - started,
     )

@@ -261,6 +261,14 @@ def test_oracle_hmm_and_gamma(tmp_path, capsys):
     bad["extra"] = 1
     config.write_text(json.dumps(bad), encoding="utf-8")
     assert run_cli(capsys, "oracle", "hmm", "--config", str(config))[0] == 2
+    # the optional functional key follows the grid schema
+    chain["functional"] = {"r": 0, "kind": "state_sum"}
+    config.write_text(json.dumps(chain), encoding="utf-8")
+    assert run_cli(capsys, "oracle", "hmm", "--config", str(config))[0] == 0
+    chain["functional"]["r"] = False
+    config.write_text(json.dumps(chain), encoding="utf-8")
+    code, _, err = run_cli(capsys, "oracle", "hmm", "--config", str(config))
+    assert code == 2 and "functional.r" in err
 
 
 def test_oracle_gamma_on_an_independent_lgm(tmp_path, capsys):

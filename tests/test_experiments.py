@@ -33,8 +33,10 @@ def test_grid_from_mapping_happy_path():
     assert grid.particle_counts == (20, 40)
     assert grid.replicates == 3
     assert grid.master_seed == 77
-    assert grid.functional_lag == 0
     assert grid.out == "somewhere.csv"
+    # the r column comes from the functional the cells ran
+    rows = sc.run_grid(grid).to_csv().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["0"] * 8
 
 
 @pytest.mark.parametrize(
@@ -56,6 +58,8 @@ def test_grid_from_mapping_happy_path():
         (lambda raw: raw.update(methods=["ffbs"]), "unknown method"),
         (lambda raw: raw["functional"].update(shape=2), "functional"),
         (lambda raw: raw["functional"].update(r=1), "lag"),
+        (lambda raw: raw["functional"].update(r=False), "functional.r"),
+        (lambda raw: raw["functional"].update(r=0.0), "functional.r"),
         (lambda raw: raw["functional"].update(kind="energy"), "kind"),
         (lambda raw: raw.update(out=7), "out"),
     ],

@@ -1,5 +1,7 @@
 import io
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -239,6 +241,23 @@ def test_finite_hmm_simulation_matches_chain_frequencies():
     assert np.mean(states == 0) == pytest.approx(stationary, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "P, chi",
+    [
+        ([[0.5, 0.2], [0.3, 0.7]], CHI2),
+        (P2, [0.1, 0.2]),
+        ([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]], CHI2),
+    ],
+    ids=["row-sum", "initial-sum", "non-square"],
+)
+def test_simulation_and_model_reject_the_same_chains(P, chi):
+    # before, the simulator handed a row's missing mass to its last state
+    with pytest.raises(ValueError):
+        sc.simulate_finite_hmm(P, B2, chi, 5, sc.make_rng(1))
+    with pytest.raises(ValueError):
+        sc.make_finite_hmm(P, [[0.8, 0.3]], chi)
+
+
 def test_emissions_from_symbols_hand_example():
     E = sc.emissions_from_symbols(B2, [1, 0])
     assert np.allclose(E, [[0.2, 0.7], [0.8, 0.3]])
@@ -261,6 +280,86 @@ def test_observations_csv_round_trip(tmp_path):
 def test_observations_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         sc.read_observations_csv(io.StringIO("time,x,y\n0,1,2\n"))
+
+
+X_IO = [0.5, -1.25, 2.0]
+Y_IO = [0.1, 0.2, -0.3]
+TABLE_IO = sc.VarianceTable(
+    rows=[
+        sc.VarianceRow(
+            method="path_space", horizon=2, n_particles=4, lag=0, variance=0.25,
+            mean_estimate=-1.5, mean_wall_seconds=0.125, replicates=3,
+        )
+    ]
+)
+
+
+def history_io():
+    model = sc.make_lgm(0.9, 0.6, 1.0, Y_IO)
+    return sc.run_filter(model, sc.bootstrap_proposal(model), 4, 2, sc.make_rng(3))
+
+
+WRITERS = {
+    "write_observations_csv": lambda f: sc.write_observations_csv(f, X_IO, Y_IO),
+    "dump_history_csv": lambda f: sc.dump_history_csv(history_io(), f),
+    "write_kalman_csv": lambda f: sc.write_kalman_csv(
+        sc.kalman_smooth(0.9, 0.6, 1.0, Y_IO), f
+    ),
+    "VarianceTable.to_csv": lambda f: TABLE_IO.to_csv(f),
+}
+# reader -> (the writer whose output it reads, read, check of what it read)
+READERS = {
+    "read_observations_csv": (
+        "write_observations_csv",
+        sc.read_observations_csv,
+        lambda got: np.array_equal(got[0], X_IO) and np.array_equal(got[1], Y_IO),
+    ),
+    "VarianceTable.from_csv": (
+        "VarianceTable.to_csv",
+        sc.VarianceTable.from_csv,
+        lambda got: got == TABLE_IO,
+    ),
+}
+
+
+def file_of_form(form, tmp_path, text=None):
+    """A file of one of the four accepted forms, holding ``text``."""
+    if form in ("str", "Path"):
+        path = tmp_path / "file.csv"
+        if text is not None:
+            path.write_bytes(text.encode("utf-8"))
+        return str(path) if form == "str" else path
+    if form == "StringIO":
+        handle = io.StringIO()
+    else:
+        handle = tempfile.SpooledTemporaryFile(mode="w+")
+    if text is not None:
+        handle.write(text)
+        handle.seek(0)
+    return handle
+
+
+def text_in(file):
+    if isinstance(file, (str, pathlib.Path)):
+        return pathlib.Path(file).read_bytes().decode("utf-8")
+    file.seek(0)
+    return file.read()
+
+
+@pytest.mark.parametrize("form", ["str", "Path", "StringIO", "SpooledTemporaryFile"])
+@pytest.mark.parametrize("entry", [*WRITERS, *READERS])
+def test_text_io_takes_paths_and_any_text_handle(entry, form, tmp_path):
+    reference = tmp_path / "reference.csv"
+    if entry in WRITERS:
+        WRITERS[entry](str(reference))
+        file = file_of_form(form, tmp_path)
+        WRITERS[entry](file)
+        assert text_in(file) == reference.read_bytes().decode("utf-8")
+    else:
+        writer, read, check = READERS[entry]
+        WRITERS[writer](str(reference))
+        text = reference.read_bytes().decode("utf-8")
+        assert check(read(file_of_form(form, tmp_path, text)))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -448,12 +448,11 @@ def test_estimate_csv_row_formatting():
         horizon=5,
         lag=0,
         seed=42,
-        wall_seconds=3.25,
     )
-    assert estimate.csv_row() == "ffbs_backward,5,10,0,42,1.5,3.25"
-    assert estimate.csv_row(zero_timings=True) == "ffbs_backward,5,10,0,42,1.5,0"
+    assert estimate.csv_row(3.25) == "ffbs_backward,5,10,0,42,1.5,3.25"
+    assert estimate.csv_row(0.0) == "ffbs_backward,5,10,0,42,1.5,0"
     with pytest.raises(ValueError):
         sc.SmoothingEstimate(
             method="nonsense", value=0.0, n_particles=1, horizon=0, lag=0,
-            seed=None, wall_seconds=0.0,
+            seed=None,
         )
