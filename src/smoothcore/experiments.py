@@ -26,7 +26,6 @@ import json
 import math
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -360,9 +359,9 @@ def estimate_once(
 
     Returns ``(value, wall_seconds)`` where the wall time spans the
     whole pipeline (filter included); the estimators do not time
-    themselves.  Asking for rejection sampling on
-    a model without mixing bounds quietly runs the direct backward draw
-    instead, which targets the same law.
+    themselves.  ``ffbsi_rejection`` always runs the rejection sampler,
+    so a model without an upper bound on its transition density raises
+    :class:`UnsupportedModelError`.
     """
     rng = make_rng(seed)
     started = time.perf_counter()
@@ -380,7 +379,7 @@ def estimate_once(
     elif method == METHOD_FFBS_FORWARD:
         estimate = ffbs_forward_additive(history, model, functional)
     elif method in (METHOD_FFBSI_DIRECT, METHOD_FFBSI_REJECTION):
-        if method == METHOD_FFBSI_REJECTION and model.mixing_bounds is not None:
+        if method == METHOD_FFBSI_REJECTION:
             paths = ffbsi_rejection_sample_paths(history, model, n_particles, rng)
         else:
             paths = ffbsi_sample_paths(history, model, n_particles, rng)
@@ -398,38 +397,32 @@ def _run_cell(payload: dict) -> dict:
     method = payload["method"]
     n_particles = payload["n_particles"]
     functional = state_sum_functional(horizon)
-    if (
-        method == METHOD_FFBSI_REJECTION
-        and model.mixing_bounds is None
-    ):
-        warnings.warn(
-            f"model carries no mixing bounds at (T={horizon}, N={n_particles}); "
-            "rejection sampling falls back to the direct backward draw",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    replicates = payload["replicates"]
     values = []
     walls = []
-    error = None
-    for k in range(payload["replicates"]):
+    failures = []
+    for k in range(replicates):
         seed = derive_seed(
             payload["master_seed"], horizon, n_particles, METHOD_IDS[method], k
         )
         try:
             value, wall = estimate_once(model, functional, method, n_particles, seed)
         except Exception as exc:  # noqa: BLE001 - flagged, not swallowed
-            error = f"replicate {k}: {type(exc).__name__}: {exc}"
-            break
+            failures.append(f"replicate {k}: {type(exc).__name__}: {exc}")
+            continue
         values.append(value)
         walls.append(wall)
-    if error is None:
+    if failures:
+        error = (
+            f"{len(failures)} of {replicates} replicates failed; "
+            f"first: {failures[0]}"
+        )
+        variance = mean = wall = math.nan
+    else:
+        error = None
         variance = float(np.var(values, ddof=1))
         mean = float(np.mean(values))
         wall = float(np.mean(walls))
-    else:
-        variance = math.nan
-        mean = math.nan
-        wall = math.nan
     return {
         "method": method,
         "horizon": horizon,
@@ -438,7 +431,7 @@ def _run_cell(payload: dict) -> dict:
         "variance": variance,
         "mean_estimate": mean,
         "mean_wall_seconds": wall,
-        "replicates": payload["replicates"],
+        "replicates": replicates,
         "error": error,
     }
 
@@ -470,8 +463,9 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None) -> VarianceTable:
     Cells are independent tasks; rows come back in config order and
     their content does not depend on the worker count because every
     replicate's generator is keyed, never shared.  A replicate failure
-    flags its row (variance and mean become NaN) and the rest of the
-    grid still runs.
+    flags its row (variance and mean become NaN, and the error counts
+    the failed replicates and quotes the first); every other replicate
+    and the rest of the grid still run.
     """
     worker_count = resolve_workers(workers)
     observations = {

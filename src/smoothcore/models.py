@@ -45,38 +45,57 @@ def _require_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name}[{label}] = {values[index]} is not finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MixingBounds:
-    """Two-sided bounds on the transition density plus a likelihood floor.
+    """Bounds on the transition density, plus a likelihood floor.
+
+    Only the upper bound is required: it is all the rejection sampler
+    uses.  The lower bounds hold on compact or finite state spaces and
+    are None where none holds, as for the Gaussian AR(1) kernels.
 
     Attributes
     ----------
-    sigma_minus : float
-        Lower bound on the transition density, > 0.
     sigma_plus : float
-        Upper bound on the transition density.  ``sigma_minus ==
-        sigma_plus`` is allowed (constant kernel); then ``rho == 0``.
-    c_minus : float
+        Upper bound on the transition density, > 0.
+    sigma_minus : float or None
+        Lower bound on the transition density, in (0, sigma_plus].
+        ``sigma_minus == sigma_plus`` is allowed (constant kernel); then
+        ``rho == 0``.
+    c_minus : float or None
         Lower bound on the one-step predictive likelihood mass, > 0.
     """
 
-    sigma_minus: float
     sigma_plus: float
-    c_minus: float
+    sigma_minus: float | None = None
+    c_minus: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_minus <= self.sigma_plus):
+        if not 0.0 < self.sigma_plus < math.inf:
+            raise ValueError(
+                f"sigma_plus must be positive and finite, got {self.sigma_plus}"
+            )
+        if self.sigma_minus is not None and not (
+            0.0 < self.sigma_minus <= self.sigma_plus
+        ):
             raise ValueError(
                 "mixing bounds need 0 < sigma_minus <= sigma_plus, got "
                 f"[{self.sigma_minus}, {self.sigma_plus}]"
             )
-        if not self.c_minus > 0.0:
+        if self.c_minus is not None and not self.c_minus > 0.0:
             raise ValueError(f"c_minus must be positive, got {self.c_minus}")
 
     @property
-    def rho(self) -> float:
-        """Mixing rate ``1 - sigma_minus / sigma_plus``, in [0, 1)."""
+    def rho(self) -> float | None:
+        """Mixing rate ``1 - sigma_minus / sigma_plus``, in [0, 1); None
+        without a lower bound."""
+        if self.sigma_minus is None:
+            return None
         return 1.0 - self.sigma_minus / self.sigma_plus
+
+
+def _gaussian_peak(sd: float) -> MixingBounds:
+    # the N(m, sd^2) density peaks at 1 / (sd sqrt(2 pi)) whatever m is
+    return MixingBounds(sigma_plus=1.0 / (sd * math.sqrt(2.0 * math.pi)))
 
 
 @dataclass(frozen=True)
@@ -130,8 +149,9 @@ class StateSpaceModel:
     state_dtype : numpy dtype
         Dtype of state arrays (float64 or int64).
     mixing_bounds : MixingBounds or None
-        Present only when two-sided transition-density bounds actually
-        hold; unbounded state spaces leave it None.
+        Bounds on the transition density.  Present whenever an upper
+        bound holds, which is what the rejection sampler needs; None
+        means the model has no known bound.
     finite : FiniteModelData or None
         Exact-oracle hook, populated for finite-state models.
     """
@@ -234,9 +254,10 @@ def make_lgm(
     observations : sequence of float
         The observed sequence y_0, ..., y_T, baked into the model.
     mixing_bounds : MixingBounds, optional
-        The Gaussian kernel has no two-sided density bounds on the real
-        line, so none are attached by default; callers restricting the
-        state to a compact set may supply their own.
+        By default only the exact peak of the Gaussian kernel,
+        ``sigma_plus = 1 / (sigma_u sqrt(2 pi))``, is attached: no lower
+        bound holds on the real line.  Callers restricting the state to
+        a compact set may supply their own.
     """
     if not abs(phi) < 1.0:
         raise ValueError(f"|phi| must be < 1 for a stationary state, got {phi}")
@@ -274,7 +295,7 @@ def make_lgm(
         transition_sampler=transition_sampler,
         observation_log_density=observation_log_density,
         n_observations=y.size,
-        mixing_bounds=mixing_bounds,
+        mixing_bounds=mixing_bounds or _gaussian_peak(sigma_u),
     )
 
 
@@ -290,7 +311,9 @@ def make_svm(
     The log-volatility follows the same stationary AR(1) state as the
     linear Gaussian model (scale ``sigma``); the observation is
     ``Y_t = beta exp(X_t / 2) V_t`` with standard Gaussian noise, so
-    ``Y_t | X_t ~ N(0, beta^2 exp(X_t))``.
+    ``Y_t | X_t ~ N(0, beta^2 exp(X_t))``.  As for :func:`make_lgm`,
+    ``mixing_bounds`` defaults to the kernel's exact peak
+    ``sigma_plus = 1 / (sigma sqrt(2 pi))``.
     """
     if not abs(phi) < 1.0:
         raise ValueError(f"|phi| must be < 1 for a stationary state, got {phi}")
@@ -331,7 +354,7 @@ def make_svm(
         transition_sampler=transition_sampler,
         observation_log_density=observation_log_density,
         n_observations=y.size,
-        mixing_bounds=mixing_bounds,
+        mixing_bounds=mixing_bounds or _gaussian_peak(sigma),
     )
 
 
@@ -621,7 +644,9 @@ def write_observations_csv(file, x_true, y) -> None:
 def read_observations_csv(file):
     """Read a ``t,x_true,y`` CSV back into ``(x_true, y)`` arrays.
 
-    ``file`` is a path or a text file object, as for the writer.
+    ``file`` is a path or a text file object, as for the writer.  Each
+    data row must have exactly three fields, and ``t`` must count
+    0, 1, 2, ... in order; otherwise a ``ValueError`` names the line.
     """
     with text_file(file, "r") as handle:
         reader = csv.reader(handle)
@@ -632,6 +657,15 @@ def read_observations_csv(file):
         for row in reader:
             if not row:
                 continue
+            line = reader.line_num
+            if len(row) != 3:
+                raise ValueError(
+                    f"line {line}: expected 3 fields t,x_true,y, got {len(row)}"
+                )
+            if row[0].strip() != str(len(ys)):
+                raise ValueError(
+                    f"line {line}: expected t = {len(ys)}, got {row[0]!r}"
+                )
             xs.append(float(row[1]))
             ys.append(float(row[2]))
     if not ys:

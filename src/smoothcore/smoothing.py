@@ -490,27 +490,33 @@ def ffbsi_rejection_sample_paths(
 
     Proposes indices from the filter weights and accepts with
     probability ``transition_density / sigma_plus``, which realizes the
-    backward row without normalizing it; each proposal is accepted with
-    probability at least ``sigma_minus / sigma_plus``.  An index still
-    pending after ``max_rejections`` proposals (default
-    ``100 * ceil(sigma_plus / sigma_minus)``) falls back to the exact
-    row draw.
+    backward row without normalizing it (Douc, Garivier, Moulines &
+    Olsson 2011).  Each step runs vectorised rounds, one proposal per
+    pending target, and sends the targets still pending when it stops
+    to the exact row draw.  By default a step stops after the first
+    round that leaves at most sqrt(N) targets pending, so the exact
+    draws cost at most N^{3/2} kernel pairs per step; an explicit
+    ``max_rejections=k`` instead stops after k rounds or when none is
+    pending.  Either way the stop depends only on accept/reject
+    outcomes, and an accepted index follows its row whatever the round,
+    so the paths follow the backward law exactly.
 
-    Requires the model to carry mixing bounds.  With
-    ``return_stats=True`` also returns a :class:`RejectionStats`.
+    Requires the model to carry an upper bound ``mixing_bounds.sigma_plus``.
+    With ``return_stats=True`` also returns a :class:`RejectionStats`.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     bounds = model.mixing_bounds
     if bounds is None:
         raise UnsupportedModelError(
-            "rejection sampling needs transition density bounds; "
-            "this model carries none"
+            "rejection sampling needs an upper bound on the transition "
+            "density; this model carries none"
         )
-    if max_rejections is None:
-        max_rejections = 100 * math.ceil(bounds.sigma_plus / bounds.sigma_minus)
-    if max_rejections < 1:
+    if max_rejections is not None and max_rejections < 1:
         raise ValueError(f"max_rejections must be >= 1, got {max_rejections}")
+    # a step stops once at most this many targets are pending (or after
+    # max_rejections rounds)
+    stragglers = math.isqrt(history.n_particles) if max_rejections is None else 0
     log_sigma_plus = math.log(bounds.sigma_plus)
 
     horizon = history.horizon
@@ -519,7 +525,6 @@ def ffbsi_rejection_sample_paths(
     paths[:, horizon] = categorical_indices(final_weights, rng.random(n_paths))
 
     proposals_made = 0
-    accepted_count = 0
     fallback_count = 0
 
     for t in range(horizon - 1, -1, -1):
@@ -531,26 +536,22 @@ def ffbsi_rejection_sample_paths(
 
         drawn = np.empty(n_paths, dtype=np.int64)
         pending = np.arange(n_paths)
-        for _ in range(max_rejections):
-            if pending.size == 0:
-                break
-            candidates = np.searchsorted(
-                cdf, rng.random(pending.size), side="right"
-            ).astype(np.int64)
+        rounds = 0
+        while True:
+            candidates = np.searchsorted(cdf, rng.random(pending.size), side="right")
             log_density = np.asarray(
                 model.transition_log_density(
                     sources[candidates], successors[pending]
                 ),
                 dtype=float,
             )
-            with np.errstate(divide="ignore"):
-                accept = np.log(rng.random(pending.size)) < (
-                    log_density - log_sigma_plus
-                )
+            accept = rng.random(pending.size) < np.exp(log_density - log_sigma_plus)
             proposals_made += pending.size
-            accepted_count += int(np.count_nonzero(accept))
             drawn[pending[accept]] = candidates[accept]
             pending = pending[~accept]
+            rounds += 1
+            if pending.size <= stragglers or rounds == max_rejections:
+                break
         if pending.size:
             fallback_count += pending.size
             drawn[pending] = _kernel(history, model, t).draw(
@@ -561,7 +562,8 @@ def ffbsi_rejection_sample_paths(
     if return_stats:
         return paths, RejectionStats(
             proposals=proposals_made,
-            accepted=accepted_count,
+            # every draw not sent to the exact row was accepted
+            accepted=n_paths * horizon - fallback_count,
             fallbacks=fallback_count,
         )
     return paths

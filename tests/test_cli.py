@@ -120,6 +120,29 @@ def test_missing_data_file_is_a_usage_error(capsys):
     assert "file not found" in err
 
 
+def smooth_on(tmp_path, capsys, text):
+    data = tmp_path / "obs.csv"
+    data.write_text(text, encoding="utf-8")
+    return run_cli(
+        capsys, "smooth", "--data", str(data), "--model", "lgm",
+        *LGM_FLAGS, "--method", "ffbs_backward", "--n", "10", "--seed", "1",
+    )
+
+
+def test_data_times_must_count_up_from_zero(tmp_path, capsys):
+    code, out, err = smooth_on(
+        tmp_path, capsys, "t,x_true,y\n0,0.1,0.2\n7,0.3,0.4\n0,0.5,0.6\n"
+    )
+    assert code == 2 and out == ""
+    assert "line 3" in err and "expected t = 1" in err
+
+
+def test_data_rows_need_three_fields(tmp_path, capsys):
+    code, out, err = smooth_on(tmp_path, capsys, "t,x_true,y\n0,0.1,0.2\n1,0.3\n")
+    assert code == 2 and out == ""
+    assert "line 3" in err and "3 fields" in err
+
+
 def test_experiment_outputs_are_worker_invariant(tmp_path, capsys):
     config = write_grid_config(tmp_path / "grid.json")
     out_serial = tmp_path / "serial.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,42 +151,45 @@ def test_environment_variable_sets_worker_count(monkeypatch):
 def test_failed_replicate_flags_the_row_and_spares_the_rest(monkeypatch):
     grid = sc.grid_from_mapping(
         lgm_mapping(methods=["ffbs_backward", "ffbs_forward"], T=[4], N=[10],
-                    replicates=2)
+                    replicates=3)
     )
     real = experiments.estimate_once
 
+    calls = []
+
     def sabotaged(model, functional, method, n_particles, seed):
-        if method == "ffbs_forward":
-            raise sc.FilterDegeneracyError(2)
+        calls.append(method)
+        if method == "ffbs_forward" and calls.count(method) != 2:
+            raise sc.FilterDegeneracyError(calls.count(method))
         return real(model, functional, method, n_particles, seed)
 
     monkeypatch.setattr(experiments, "estimate_once", sabotaged)
     table = sc.run_grid(grid, workers=1)
     assert table.has_failures
+    # every replicate runs: the failures are counted and the first quoted
+    assert calls.count("ffbs_forward") == 3
     flagged = {row.method: row for row in table.rows}
     bad = flagged["ffbs_forward"]
     assert math.isnan(bad.variance) and math.isnan(bad.mean_estimate)
-    assert "replicate 0" in bad.error and "FilterDegeneracyError" in bad.error
+    assert bad.error == (
+        "2 of 3 replicates failed; first: replicate 0: FilterDegeneracyError: "
+        "all importance weights vanished at step t=1"
+    )
     good = flagged["ffbs_backward"]
     assert good.error is None and math.isfinite(good.variance)
 
 
-def test_rejection_without_bounds_warns_and_still_runs():
+def test_rejection_on_lgm_runs_without_warning():
     grid = sc.grid_from_mapping(
         lgm_mapping(methods=["ffbsi_rejection"], T=[4], N=[15], replicates=2)
     )
-    with pytest.warns(RuntimeWarning, match="mixing bounds"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         table = sc.run_grid(grid, workers=1)
-    direct = sc.run_grid(
-        sc.grid_from_mapping(
-            lgm_mapping(methods=["ffbsi_direct"], T=[4], N=[15], replicates=2)
-        )
-    )
-    # the fallback runs the direct algorithm under the rejection label,
-    # and the replicate seeds differ only through the method id
-    assert table.rows[0].variance != direct.rows[0].variance
+    assert not table.has_failures
     assert table.rows[0].method == "ffbsi_rejection"
     assert math.isfinite(table.rows[0].variance)
+    assert math.isfinite(table.rows[0].mean_estimate)
 
 
 def test_variance_table_csv_round_trip(tmp_path):
@@ -304,3 +308,35 @@ def test_estimate_once_times_the_whole_pipeline():
         assert wall > 0.0
     with pytest.raises(ValueError):
         sc.estimate_once(model, functional, "nonsense", 25, 99)
+
+
+def test_estimate_once_runs_the_rejection_sampler():
+    y = [0.3, -0.1, 0.4, 1.2, 0.8]
+    model = sc.make_lgm(0.9, 0.6, 1.0, y)
+    functional = sc.state_sum_functional(4)
+    value, _ = sc.estimate_once(model, functional, "ffbsi_rejection", 40, 123)
+    rng = sc.make_rng(123)
+    history = sc.run_filter(model, sc.bootstrap_proposal(model), 40, 4, rng)
+    paths = sc.ffbsi_rejection_sample_paths(history, model, 40, rng)
+    assert value == sc.ffbsi_estimate(paths, history, functional).value
+    direct, _ = sc.estimate_once(model, functional, "ffbsi_direct", 40, 123)
+    assert value != direct
+
+
+def test_rejection_mean_matches_the_kalman_smoother():
+    # criterion 5's check at T=100, N=300: the particle smoother's
+    # O(T/N) bias stays well inside 4 standard errors of 60 replicates
+    _, y = sc.simulate_lgm(0.9, 0.6, 1.0, 100, sc.make_rng(sc.derive_seed(57)))
+    exact = sc.kalman_smooth(0.9, 0.6, 1.0, y).smoothed_state_sum
+    model = sc.make_lgm(0.9, 0.6, 1.0, y)
+    functional = sc.state_sum_functional(100)
+    values = np.array(
+        [
+            sc.estimate_once(
+                model, functional, "ffbsi_rejection", 300, sc.derive_seed(157, k)
+            )[0]
+            for k in range(60)
+        ]
+    )
+    se = values.std(ddof=1) / math.sqrt(values.size)
+    assert abs(float(values.mean()) - exact) <= 4.0 * se

@@ -26,12 +26,9 @@ GAUSSIAN_PEAK = 1.0 / (0.6 * np.sqrt(2.0 * np.pi))
 def lgm_problem():
     rng = sc.make_rng(2024)
     _, y = sc.simulate_lgm(0.9, 0.6, 1.0, 12, rng)
-    # sigma_plus is the exact peak of the N(phi x, 0.6^2) kernel; the
-    # floors only set the rejection sampler's default cap
-    bounds = sc.MixingBounds(
-        sigma_minus=1e-3, sigma_plus=GAUSSIAN_PEAK, c_minus=1e-3
-    )
-    model = sc.make_lgm(0.9, 0.6, 1.0, y, mixing_bounds=bounds)
+    model = sc.make_lgm(0.9, 0.6, 1.0, y)
+    # the attached bound is the exact peak of the N(phi x, 0.6^2) kernel
+    assert model.mixing_bounds.sigma_plus == GAUSSIAN_PEAK
     history = sc.run_filter(
         model, sc.bootstrap_proposal(model), 300, 12, sc.make_rng(2025)
     )
@@ -57,14 +54,14 @@ DIGESTS = {
     "lgm": {
         "positions": "d78f12cd6b4b72ea1dbeb64ecbd375f882fd2a048975aa1ac183c6082e908dee",
         "direct": "7cf9d238f3ffe0011043a8b92dfd8cf25bd478ddf4a7b6216cafe6652103afd4",
-        "rejection": "0b9bc9d288a37e57fcd1ebfc5e496cf97712ab505517ae05bfc5f1b413bc5481",
+        "rejection": "d3dc25e3183f089dccdaef9a5e1fcfc831f74617dbd068f5a4ea36fdc835a562",
         "fallback": "f45a517eee91b8b9aff097f3f8c452c71973f8ec6401f997a87546ae297bee22",
         "matrices": "05580dc7c9f4dc903a8c8cca3bc77481f6f919beaf26dd088bc901cac2dbee84",
     },
     "finite": {
         "positions": "15e418b91ebdd591d4a530ce56c49560284de81fdbf0ee7738310643047a2b74",
         "direct": "bc1d81559872040f4aff9a87391e0ed1ab30e375a253d03d31332d753400a506",
-        "rejection": "f968ab889bab2eff4894ec66667463d1bc994ef0ad38d6d4895672db87e342e0",
+        "rejection": "43dcec732447d0eae28e4500b0f1a22874c8809c6ca3c1f48acfaa01399cd78f",
         "fallback": "c77b2666148cce8737980bbe5ee265be954d0dce2127e0d8729ab80ec377622a",
         "matrices": "fd19e03a29dfc6210034c22432a5c316b24220ebed48c74b375be8cab9632142",
     },

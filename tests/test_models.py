@@ -131,6 +131,28 @@ def test_mixing_bounds_validation():
         sc.MixingBounds(sigma_minus=0.1, sigma_plus=0.2, c_minus=0.0)
     flat = sc.MixingBounds(sigma_minus=0.5, sigma_plus=0.5, c_minus=0.5)
     assert flat.rho == 0.0
+    for sigma_plus in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sc.MixingBounds(sigma_plus=sigma_plus)
+    upper = sc.MixingBounds(sigma_plus=2.0)
+    assert upper.sigma_minus is None and upper.c_minus is None
+    assert upper.rho is None
+
+
+@pytest.mark.parametrize("family", ["lgm", "svm"])
+def test_gaussian_kernels_carry_their_exact_peak(family):
+    y = [0.1, -0.4, 0.3]
+    make = sc.make_lgm if family == "lgm" else sc.make_svm
+    model = make(0.9, 0.6, 1.0, y)
+    peak = 1.0 / (0.6 * math.sqrt(2.0 * math.pi))
+    assert model.mixing_bounds == sc.MixingBounds(sigma_plus=peak)
+    # the density into phi x is the peak, and no other point exceeds it
+    x = np.linspace(-3.0, 3.0, 13)
+    assert np.allclose(np.exp(model.transition_log_density(x, 0.9 * x)), peak)
+    grid = np.exp(model.transition_log_density(0.5, np.linspace(-5, 5, 1001)))
+    assert grid.max() <= peak
+    own = sc.MixingBounds(sigma_plus=3.0, sigma_minus=0.1, c_minus=0.2)
+    assert make(0.9, 0.6, 1.0, y, mixing_bounds=own).mixing_bounds is own
 
 
 def test_model_constructor_validation():

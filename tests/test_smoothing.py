@@ -302,8 +302,26 @@ def test_flat_kernel_accepts_every_proposal():
 
 def test_rejection_needs_mixing_bounds():
     model, history = lgm_case(horizon=3, n_particles=8, seed=96)
+    unbounded = dataclasses.replace(model, mixing_bounds=None)
     with pytest.raises(sc.UnsupportedModelError):
-        sc.ffbsi_rejection_sample_paths(history, model, 10, sc.make_rng(0))
+        sc.ffbsi_rejection_sample_paths(history, unbounded, 10, sc.make_rng(0))
+    with pytest.raises(sc.UnsupportedModelError):
+        sc.estimate_once(
+            unbounded, sc.state_sum_functional(3), "ffbsi_rejection", 8, 0
+        )
+
+
+def test_gaussian_rejection_sampler_law_matches_enumeration():
+    # sigma_plus is the exact kernel peak; with 50k paths over N = 3
+    # particles a step stops once at most isqrt(3) = 1 target is pending
+    model, history = lgm_case(horizon=2, n_particles=3, seed=62)
+    assert model.mixing_bounds.sigma_plus == 1.0 / (0.6 * math.sqrt(2.0 * math.pi))
+    probs = trajectory_probabilities(history, model)
+    paths, counters = sc.ffbsi_rejection_sample_paths(
+        history, model, 50_000, sc.make_rng(162), return_stats=True
+    )
+    assert chi_square_pvalue(paths, probs, 3) > 0.001
+    assert 0 < counters.fallbacks <= 2 * math.isqrt(3)
 
 
 def test_marginal_law_on_identity_kernel():
