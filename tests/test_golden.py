@@ -72,6 +72,14 @@ SIMULATED_DIGEST = (
     "b4f6e168c549889605aed972bb32c232207e66626c8775ff801c4a5fe7285f09"
 )
 
+# lgm at the benchmark's parameters and particle count, over a short
+# horizon: about 500-600 distinct successors per step, so the draws cross
+# the kernel's row blocks and the columns of every row
+BENCH_DIGESTS = {
+    "direct": "9c8de84f1d2ccd6c888afa2f39e403a58a5a63d5b5c8a91f16eecf9a4848fdbb",
+    "fallback": "43d09c0b299ded443b43a20a5c80038597a6cc4f77e33facd8117498196a527b",
+}
+
 VALUES = {
     "lgm": {
         "backward_0": 17.993171856782112,
@@ -135,6 +143,24 @@ def test_seeded_draws_and_rows_are_bit_identical(problem):
         ),
     }
     assert observed == DIGESTS[name]
+
+
+def test_bench_size_draws_are_bit_identical():
+    rng = sc.make_rng(2030)
+    _, y = sc.simulate_lgm(0.9, 0.6, 1.0, 4, rng)
+    model = sc.make_lgm(0.9, 0.6, 1.0, y)
+    history = sc.run_filter(
+        model, sc.bootstrap_proposal(model), 1000, 4, sc.make_rng(2031)
+    )
+    fallback, stats = sc.ffbsi_rejection_sample_paths(
+        history, model, 1000, sc.make_rng(13), max_rejections=1, return_stats=True
+    )
+    assert stats.fallbacks > 0
+    observed = {
+        "direct": digest(sc.ffbsi_sample_paths(history, model, 1000, sc.make_rng(12))),
+        "fallback": digest(fallback),
+    }
+    assert observed == BENCH_DIGESTS
 
 
 def test_simulated_finite_chain_is_bit_identical():
