@@ -32,8 +32,16 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _normal_logpdf(x, mean, sd):
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    return -0.5 * z * z - np.log(sd) - 0.5 * _LOG_2PI
+    # computed in its one output array, in the order of
+    # -0.5 * z * z - log(sd) - 0.5 * log(2 pi): scaling by -0.5 is exact,
+    # so the bits are the same
+    z = np.asarray(x, dtype=float) - mean
+    z /= sd
+    z *= z
+    z *= -0.5
+    z -= np.log(sd)
+    z -= 0.5 * _LOG_2PI
+    return z
 
 
 def _require_finite(name: str, values: np.ndarray) -> None:
@@ -645,8 +653,9 @@ def read_observations_csv(file):
     """Read a ``t,x_true,y`` CSV back into ``(x_true, y)`` arrays.
 
     ``file`` is a path or a text file object, as for the writer.  Each
-    data row must have exactly three fields, and ``t`` must count
-    0, 1, 2, ... in order; otherwise a ``ValueError`` names the line.
+    data row must have exactly three fields, ``t`` must count 0, 1, 2,
+    ... in order, and ``x_true`` and ``y`` must parse as floats;
+    otherwise a ``ValueError`` names the line.
     """
     with text_file(file, "r") as handle:
         reader = csv.reader(handle)
@@ -666,8 +675,15 @@ def read_observations_csv(file):
                 raise ValueError(
                     f"line {line}: expected t = {len(ys)}, got {row[0]!r}"
                 )
-            xs.append(float(row[1]))
-            ys.append(float(row[2]))
+            try:
+                x, y = float(row[1]), float(row[2])
+            except ValueError:
+                raise ValueError(
+                    f"line {line}: x_true and y must be numbers, "
+                    f"got {row[1]!r} and {row[2]!r}"
+                ) from None
+            xs.append(x)
+            ys.append(y)
     if not ys:
         raise ValueError("no data rows in observations file")
     return np.asarray(xs), np.asarray(ys)

@@ -143,6 +143,12 @@ def test_data_rows_need_three_fields(tmp_path, capsys):
     assert "line 3" in err and "3 fields" in err
 
 
+def test_data_fields_must_be_numbers(tmp_path, capsys):
+    code, out, err = smooth_on(tmp_path, capsys, "t,x_true,y\n0,0.1,0.2\n1,0.1,abc\n")
+    assert code == 2 and out == ""
+    assert "line 3" in err and "'abc'" in err
+
+
 def test_experiment_outputs_are_worker_invariant(tmp_path, capsys):
     config = write_grid_config(tmp_path / "grid.json")
     out_serial = tmp_path / "serial.csv"

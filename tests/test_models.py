@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 import smoothcore as sc
 from conftest import B2, CHI2, P2
-from smoothcore.models import categorical_rows
+from smoothcore.models import _LOG_2PI, _normal_logpdf, categorical_rows
 
 
 def test_lgm_densities_match_reference_normals():
@@ -34,6 +34,34 @@ def test_lgm_densities_match_reference_normals():
             norm.logpdf(y[t], xs, 1.0),
             atol=1e-12,
         )
+
+
+def plain_normal_logpdf(x, mean, sd):
+    # the expression _normal_logpdf computed before it worked in place
+    z = (np.asarray(x, dtype=float) - mean) / sd
+    return -0.5 * z * z - np.log(sd) - 0.5 * _LOG_2PI
+
+
+@pytest.mark.parametrize("shape", ["rows x columns", "scalar against array", "0-d"])
+def test_normal_logpdf_keeps_the_bits_of_the_plain_expression(shape):
+    rng = sc.make_rng(4)
+    scale = np.exp(rng.normal(scale=4.0, size=7))
+    if shape == "rows x columns":
+        x = rng.normal(size=(7, 1)) * scale[:, None]
+        mean = 0.9 * (rng.normal(size=(1, 300)) * 3.0)
+    elif shape == "scalar against array":
+        x = float(rng.normal())
+        mean = rng.normal(size=300) * 5.0
+    else:
+        x = np.float64(rng.normal())
+        mean = np.array(rng.normal())
+    inputs = [np.copy(x), np.copy(mean)]
+    for sd in (0.6, 1.0, 3.7):
+        expected = plain_normal_logpdf(x, mean, sd)
+        observed = _normal_logpdf(x, mean, sd)
+        assert np.shape(observed) == np.shape(expected)
+        assert np.asarray(observed).tobytes() == np.asarray(expected).tobytes()
+    assert np.array_equal(x, inputs[0]) and np.array_equal(mean, inputs[1])
 
 
 def test_svm_observation_density_matches_scale_mixture():
@@ -302,6 +330,18 @@ def test_observations_csv_round_trip(tmp_path):
 def test_observations_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         sc.read_observations_csv(io.StringIO("time,x,y\n0,1,2\n"))
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [("t,x_true,y\n0,0.1,abc\n", "'abc'"), ("t,x_true,y\n0,0.1,2\n1,x,2\n", "'x'")],
+    ids=["y", "x_true"],
+)
+def test_observations_csv_names_the_line_of_a_non_numeric_field(text, field):
+    with pytest.raises(ValueError) as info:
+        sc.read_observations_csv(io.StringIO(text))
+    line = text.count("\n")
+    assert f"line {line}:" in str(info.value) and field in str(info.value)
 
 
 X_IO = [0.5, -1.25, 2.0]
