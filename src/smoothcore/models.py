@@ -376,6 +376,15 @@ def categorical_indices(
     return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
 
 
+def first_above(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Inverse-CDF lookup in the rows of a table: for each row m of
+    ``cdf``, the first index whose entry strictly exceeds ``values[m]``.
+    It is read as the count of entries at or below the value, which
+    needs those entries to form a prefix of the row, as they do in a
+    non-decreasing row; one comparison per entry suits narrow tables."""
+    return (cdf <= values[:, None]).sum(axis=1)
+
+
 def categorical_rows(
     probabilities: np.ndarray, uniforms: np.ndarray, rows=None
 ) -> np.ndarray:
@@ -384,27 +393,14 @@ def categorical_rows(
     Draw m reads row ``rows[m]`` (row m when ``rows`` is None) and
     returns the first index whose cumulative probability strictly
     exceeds ``uniforms[m]``.  Each row's last cumulative entry is forced
-    to 1, so every uniform in [0, 1) lands.  The lookup is a vectorised
-    bisection over the row cumsums: ceil(log2 K) gathers per draw and no
-    (draws, K) comparison matrix.
+    to 1, so every uniform in [0, 1) lands.
     """
     cdf = np.cumsum(probabilities, axis=1)
     cdf[:, -1] = 1.0
     uniforms = np.asarray(uniforms, dtype=float)
-    width = cdf.shape[1]
     if rows is None:
         rows = np.arange(uniforms.size)
-    first = np.asarray(rows, dtype=np.int64) * width
-    flat = cdf.ravel()
-    # the answer's flat position lies in [lo, hi]; each pass halves it
-    lo = first
-    hi = first + (width - 1)
-    for _ in range((width - 1).bit_length()):
-        mid = (lo + hi) >> 1
-        above = flat[mid] > uniforms
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid + 1)
-    return lo - first
+    return first_above(cdf[rows], uniforms)
 
 
 def _check_chain(P: np.ndarray, chi: np.ndarray) -> None:

@@ -121,6 +121,67 @@ def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows
     )
 
 
+# three full chunks and a partial one wide enough that its sum and its
+# cumsum may round differently
+N_DRAW = 3 * smoothing._CHUNK + 21
+N_ROWS = 40
+
+
+def draw_kernel(support):
+    """A kernel over sources 0..N_DRAW-1 whose positive mass lies on the
+    sources in ``support``, less every 7th, which has log weight -inf."""
+    rng = sc.make_rng(131)
+    positions = np.arange(N_DRAW, dtype=float)
+    log_weights = np.full(N_DRAW, -np.inf)
+    log_weights[support] = rng.normal(size=N_DRAW)[support]
+    log_weights[::7] = -np.inf
+    model = sc.make_lgm(0.5, 30.0, 1.0, [0.0])
+    next_positions = np.linspace(0.0, 0.5 * N_DRAW, N_ROWS)
+    return smoothing.BackwardKernel(model, 0, positions, log_weights, next_positions)
+
+
+DRAW_SUPPORTS = {
+    "all chunks": slice(3, None),
+    "one chunk": slice(smoothing._CHUNK, 2 * smoothing._CHUNK),
+    "partial chunk": slice(3 * smoothing._CHUNK, None),
+}
+
+
+@pytest.mark.parametrize("support", sorted(DRAW_SUPPORTS))
+def test_kernel_draws_follow_the_backward_rows(support):
+    kernel = draw_kernel(DRAW_SUPPORTS[support])
+    matrix = kernel.rows()
+    per_row = 5000
+    targets = np.repeat(np.arange(N_ROWS), per_row)
+    draws = kernel.draw(targets, sc.make_rng(132).random(targets.size))
+    statistic, cells = 0.0, 0
+    for i in range(N_ROWS):
+        counts = np.bincount(draws[targets == i], minlength=N_DRAW)
+        # a source of zero mass, -inf log weight included, is never drawn
+        assert np.all(counts[matrix[i] == 0.0] == 0)
+        expected = per_row * matrix[i]
+        big = expected >= 5.0
+        observed = np.append(counts[big], counts[~big].sum())
+        expected = np.append(expected[big], expected[~big].sum())
+        keep = expected > 0.0
+        statistic += np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
+        cells += int(keep.sum()) - 1
+    assert stats.chi2.sf(statistic, cells) > 1e-3
+
+
+@pytest.mark.parametrize("support", sorted(DRAW_SUPPORTS))
+def test_kernel_draw_ends_land_on_the_outer_sources_of_positive_mass(support):
+    kernel = draw_kernel(DRAW_SUPPORTS[support])
+    positive = kernel.rows() > 0.0
+    first = np.argmax(positive, axis=1)
+    last = N_DRAW - 1 - np.argmax(positive[:, ::-1], axis=1)
+    targets = np.arange(N_ROWS)
+    assert np.array_equal(kernel.draw(targets, np.zeros(N_ROWS)), first)
+    assert np.array_equal(
+        kernel.draw(targets, np.full(N_ROWS, np.nextafter(1.0, 0.0))), last
+    )
+
+
 def test_degenerate_backward_row_raises():
     model = small_hmm(1)
     original = model.transition_log_density
