@@ -379,10 +379,9 @@ def categorical_indices(
 def first_above(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Inverse-CDF lookup in the rows of a table: for each row m of
     ``cdf``, the first index whose entry strictly exceeds ``values[m]``.
-    It is read as the count of entries at or below the value, which
-    needs those entries to form a prefix of the row, as they do in a
-    non-decreasing row; one comparison per entry suits narrow tables."""
-    return (cdf <= values[:, None]).sum(axis=1)
+    Some entry of each row must exceed its value.  The lookup compares
+    every entry, which suits narrow tables."""
+    return np.argmax(cdf > values[:, None], axis=1)
 
 
 def categorical_rows(

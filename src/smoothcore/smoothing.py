@@ -136,8 +136,9 @@ _MODEL_CALL_BYTES = 128 * 1024
 # prefix sums of the row's chunk masses and its index from a cumsum over
 # that chunk alone, so it cumsums about N / _CHUNK + _CHUNK entries of a
 # row instead of all N; numpy's cumsum costs about 5 ns per entry, more
-# than exp.  At N = 1000 a step's build and draw took 5.5 ms with 32
-# columns, 6.1 ms with 16 or 64 and 6.8 ms with 128 (min of 11).
+# than exp.  A step's build and draw (min of 11) took 6.0 ms with 32
+# columns at N = 1000, against 6.35 ms with 64, 6.7 with 16 and 6.8 with
+# 128; at N = 300, 0.55 ms against 0.57-1.02 ms.
 _CHUNK = 32
 
 
@@ -172,7 +173,8 @@ class BackwardKernel:
         """Yield ``(values, rows, members, which)`` per block of distinct
         target values.  ``rows`` holds the rows of ``values``
         exponentiated after subtracting each row's max, not normalized,
-        and target ``targets[members[m]]`` reads row ``which[m]``.
+        and target ``targets[members[m]]`` reads row ``which[m]``;
+        ``which`` is non-decreasing.
         ``targets=None`` means the whole time t+1 cloud."""
         if targets is None:
             targets = np.arange(self.next_positions.shape[0])
@@ -263,37 +265,51 @@ class BackwardKernel:
         A draw reads its row unnormalized, in two levels: the prefix sums
         of the row's chunk masses pick the chunk where ``u`` times the
         row's mass falls, and a cumsum over that chunk alone picks the
-        index.  In exact arithmetic that is the first index whose
+        index.  A row drawn many times is searched in its full cumsum
+        instead.  In exact arithmetic either gives the first index whose
         cumulative probability exceeds ``u``; a source of zero mass is
         never drawn."""
         n = self.positions.shape[0]
-        chunks = np.arange(0, n, _CHUNK)
-        lanes = np.arange(_CHUNK)
+        width = min(_CHUNK, n)
+        n_chunks = -(-n // width)
+        # chunk k covers columns starts[k]:starts[k + 1]; the first one is
+        # the narrow one, so the `width` columns from any chunk's start
+        # stay inside its row
+        starts = np.maximum(n - width * np.arange(n_chunks, 0, -1), 0)
+        last_lane = np.append(starts[1:], n) - starts - 1
         drawn = np.empty(targets.size, dtype=np.int64)
         for _, rows, members, which in self._blocks(targets):
+            if which.size > len(rows) * _CHUNK:
+                # rows drawn more than _CHUNK times each (a finite chain's
+                # few rows): one cumsum and one search per row cost less
+                edges = np.searchsorted(which, np.arange(len(rows) + 1))
+                for row, lo, hi in zip(rows, edges[:-1], edges[1:]):
+                    cdf = np.cumsum(row)
+                    drawn[members[lo:hi]] = np.searchsorted(
+                        cdf, uniforms[members[lo:hi]] * cdf[-1], side="right"
+                    )
+                continue
             # a leading 0 column makes cdf[m, k] the mass before chunk k
-            cdf = np.zeros((len(rows), chunks.size + 1))
-            np.cumsum(np.add.reduceat(rows, chunks, axis=1), axis=1, out=cdf[:, 1:])
+            cdf = np.zeros((len(rows), n_chunks + 1))
+            np.cumsum(np.add.reduceat(rows, starts, axis=1), axis=1, out=cdf[:, 1:])
             cdf = cdf[which]
             picks = np.arange(which.size)
             x = uniforms[members] * cdf[:, -1]
             chunk = first_above(cdf[:, 1:], x)
             x -= cdf[picks, chunk]
-            first = chunk * _CHUNK
-            # the last chunk of a row may be narrower than _CHUNK; the
-            # lanes past the row's end read the next row or the clipped
-            # last entry, nonnegative either way, so their cumsum never
-            # falls below the chunk's own total
-            inner = np.cumsum(
-                np.take(rows, (which * n + first)[:, None] + lanes, mode="clip"),
-                axis=1,
+            # a view of every run of `width` consecutive entries of the
+            # block: row m's chunk k is run m * n + starts[k]
+            step = rows.itemsize
+            runs = np.ndarray(
+                (rows.size - width + 1, width), rows.dtype, rows, 0, (step, step)
             )
-            total = inner[picks, np.minimum(n - first, _CHUNK) - 1]
+            inner = np.cumsum(runs[which * n + starts[chunk]], axis=1)
             # the chunk masses and this cumsum round differently: keep x
             # below the chunk's total so that it lands on a source of
             # positive mass inside the chunk
+            total = inner[picks, last_lane[chunk]]
             np.minimum(x, np.nextafter(total, 0.0), out=x)
-            drawn[members] = first + first_above(inner, x)
+            drawn[members] = starts[chunk] + first_above(inner, x)
         return drawn
 
     def rows(self, targets: np.ndarray | None = None) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Golden digests of seeded outputs, pinned across refactors.
 
 Sampled index trajectories, filter clouds and backward kernel rows are
-hashed byte for byte: a refactor that keeps each row's elementwise
-operations and its own ``sum``/``cumsum`` order reproduces them
-exactly.  The deterministic smoothers' values are pinned to 1e-12
+hashed byte for byte.  A refactor that keeps each row's elementwise
+operations and its own ``sum`` order reproduces the rows exactly.  A
+draw is an inverse-CDF lookup, so a refactor that only rounds the CDF
+differently (the row draw searches chunk sums and then one chunk's
+cumsum, not the normalized row's cumsum) keeps the trajectories unless
+a uniform falls within rounding of a CDF step, which at these sizes
+does not happen.  The deterministic smoothers' values are pinned to 1e-12
 relative instead, because a mat-vec may legitimately change its
 summation order.
 

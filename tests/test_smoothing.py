@@ -121,9 +121,10 @@ def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows
     )
 
 
-# three full chunks and a partial one wide enough that its sum and its
-# cumsum may round differently
-N_DRAW = 3 * smoothing._CHUNK + 21
+# a narrow first chunk, wide enough that its sum and its cumsum may
+# round differently, and three full chunks
+NARROW = 21
+N_DRAW = NARROW + 3 * smoothing._CHUNK
 N_ROWS = 40
 
 
@@ -142,8 +143,8 @@ def draw_kernel(support):
 
 DRAW_SUPPORTS = {
     "all chunks": slice(3, None),
-    "one chunk": slice(smoothing._CHUNK, 2 * smoothing._CHUNK),
-    "partial chunk": slice(3 * smoothing._CHUNK, None),
+    "narrow chunk": slice(0, NARROW),
+    "one chunk": slice(NARROW, NARROW + smoothing._CHUNK),
 }
 
 
@@ -153,7 +154,15 @@ def test_kernel_draws_follow_the_backward_rows(support):
     matrix = kernel.rows()
     per_row = 5000
     targets = np.repeat(np.arange(N_ROWS), per_row)
-    draws = kernel.draw(targets, sc.make_rng(132).random(targets.size))
+    uniforms = sc.make_rng(132).random(targets.size)
+    # with 5000 draws per row the kernel searches each row's full cumsum;
+    # with 25 per row, under _CHUNK, it takes the two-level lookup
+    draws = kernel.draw(targets, uniforms)
+    few = np.empty_like(draws)
+    for lo in range(0, per_row, 25):
+        part = (np.arange(N_ROWS)[:, None] * per_row + np.arange(lo, lo + 25)).ravel()
+        few[part] = kernel.draw(targets[part], uniforms[part])
+    assert np.array_equal(draws, few)
     statistic, cells = 0.0, 0
     for i in range(N_ROWS):
         counts = np.bincount(draws[targets == i], minlength=N_DRAW)
@@ -169,16 +178,20 @@ def test_kernel_draws_follow_the_backward_rows(support):
     assert stats.chi2.sf(statistic, cells) > 1e-3
 
 
+@pytest.mark.parametrize("per_row", [1, 2 * smoothing._CHUNK])
 @pytest.mark.parametrize("support", sorted(DRAW_SUPPORTS))
-def test_kernel_draw_ends_land_on_the_outer_sources_of_positive_mass(support):
+def test_kernel_draw_ends_land_on_the_outer_sources_of_positive_mass(support, per_row):
     kernel = draw_kernel(DRAW_SUPPORTS[support])
     positive = kernel.rows() > 0.0
     first = np.argmax(positive, axis=1)
     last = N_DRAW - 1 - np.argmax(positive[:, ::-1], axis=1)
-    targets = np.arange(N_ROWS)
-    assert np.array_equal(kernel.draw(targets, np.zeros(N_ROWS)), first)
+    targets = np.repeat(np.arange(N_ROWS), per_row)
+    below_one = np.nextafter(1.0, 0.0)
     assert np.array_equal(
-        kernel.draw(targets, np.full(N_ROWS, np.nextafter(1.0, 0.0))), last
+        kernel.draw(targets, np.zeros(targets.size)), np.repeat(first, per_row)
+    )
+    assert np.array_equal(
+        kernel.draw(targets, np.full(targets.size, below_one)), np.repeat(last, per_row)
     )
 
 
