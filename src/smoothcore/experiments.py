@@ -26,7 +26,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -490,6 +489,12 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None) -> VarianceTable:
     if worker_count == 1 or len(payloads) == 1:
         results = [_run_cell(p) for p in payloads]
     else:
+        # Imported on the first multi-worker grid only: with the
+        # multiprocessing modules it brings, it cost about 20-30 ms and
+        # 2 MB of RSS on every `import smoothcore`, which a one-worker
+        # run does not need.  Forked workers inherit it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
             results = list(pool.map(_run_cell, payloads))
     return VarianceTable(rows=[VarianceRow(**r) for r in results])

@@ -366,13 +366,26 @@ def make_svm(
     )
 
 
+def categorical_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """Cumulative probabilities along the last axis, closed at 1.
+
+    Every entry that reaches the row's rounded total is set to 1.  The
+    first index whose entry reaches the total has positive probability,
+    so it takes the rounding slack: an inverse-CDF lookup of any uniform
+    in [0, 1) lands on an index of positive probability, never on a
+    trailing index of probability 0 (or too small to move the sum).
+    """
+    cdf = np.cumsum(probabilities, axis=-1)
+    cdf[cdf >= cdf[..., -1:]] = 1.0
+    return cdf
+
+
 def categorical_indices(
     probabilities: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
     """Inverse-CDF lookup: for each uniform, the first index whose
-    cumulative probability strictly exceeds it."""
-    cdf = np.cumsum(probabilities)
-    cdf[-1] = 1.0
+    cumulative probability (:func:`categorical_cdf`) strictly exceeds it."""
+    cdf = categorical_cdf(probabilities)
     return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
 
 
@@ -391,11 +404,11 @@ def categorical_rows(
 
     Draw m reads row ``rows[m]`` (row m when ``rows`` is None) and
     returns the first index whose cumulative probability strictly
-    exceeds ``uniforms[m]``.  Each row's last cumulative entry is forced
-    to 1, so every uniform in [0, 1) lands.
+    exceeds ``uniforms[m]``.  Each row's CDF is closed at 1 from the
+    first index that reaches the row's total (:func:`categorical_cdf`),
+    so every uniform in [0, 1) lands on an index of positive probability.
     """
-    cdf = np.cumsum(probabilities, axis=1)
-    cdf[:, -1] = 1.0
+    cdf = categorical_cdf(probabilities)
     uniforms = np.asarray(uniforms, dtype=float)
     if rows is None:
         rows = np.arange(uniforms.size)
@@ -466,6 +479,7 @@ def make_finite_hmm(
         raise ValueError("emission likelihoods must be strictly positive")
 
     log_P = np.log(P)
+    transition_cdf = categorical_cdf(P)
     log_E = np.log(E)
     with np.errstate(divide="ignore"):
         log_chi = np.log(chi)
@@ -490,7 +504,7 @@ def make_finite_hmm(
 
     def transition_sampler(x, rng):
         x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-        return categorical_rows(P, rng.random(x.size), x)
+        return first_above(transition_cdf[x], rng.random(x.size))
 
     def observation_log_density(t, x):
         return log_E[t, np.asarray(x, dtype=np.int64)]

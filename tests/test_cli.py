@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,21 @@ def run_cli(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    # every `smoothcore` command pays for what the package imports
+    code = (
+        "import json, sys, smoothcore, smoothcore.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] "
+        "in ('scipy', 'multiprocessing', 'concurrent'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sc.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == []
 
 
 LGM_FLAGS = ["--phi", "0.9", "--sigma-u", "0.6", "--sigma-v", "1.0"]

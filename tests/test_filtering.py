@@ -173,9 +173,16 @@ def test_categorical_indices_boundaries():
     assert np.array_equal(
         sc.categorical_indices(probs, uniforms), [0, 0, 1, 2, 2]
     )
-    # final cdf entry is forced to 1 so u close to 1 stays in range
+    # the cdf is closed at 1, so u close to 1 stays in range
     ragged = np.array([0.3, 0.3, 0.3999])
     assert sc.categorical_indices(ragged, np.array([0.99999]))[0] == 2
+
+
+def test_categorical_indices_never_draw_a_trailing_zero_probability():
+    # ten 0.1s sum to 1 - 2**-53, so the uniform below 1 sits on the
+    # rounded total; the slack goes to index 9, not to index 10
+    assert sc.categorical_indices([0.1] * 10 + [0.0], [1 - 2**-53])[0] == 9
+    assert sc.categorical_indices([0.1] * 10 + [0.0, 0.0], [1 - 2**-53])[0] == 9
 
 
 @settings(max_examples=60, deadline=None)

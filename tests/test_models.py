@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
 import smoothcore as sc
@@ -432,9 +432,11 @@ def test_float_formatting_round_trips(value):
 
 
 def reference_row_draws(probabilities, uniforms, rows):
-    # the comparison-matrix lookup the bisection replaced
+    # the comparison-matrix lookup, each row's CDF closed at 1 from the
+    # first entry that reaches the row's total
     cdf = np.cumsum(probabilities, axis=1)
-    cdf[:, -1] = 1.0
+    for row in cdf:
+        row[np.flatnonzero(row >= row[-1])[0]:] = 1.0
     return np.argmax(cdf[rows] > uniforms[:, None], axis=1)
 
 
@@ -450,8 +452,17 @@ def test_categorical_rows_boundaries_per_row():
     assert np.array_equal(categorical_rows(table, np.array([0.2, 0.6])), [1, 2])
 
 
+def test_categorical_rows_never_draw_a_trailing_zero_probability():
+    # row 0 sums to 1 - 2**-53 before a zero; row 1 ends in a positive
+    # entry, which keeps the slack
+    table = np.array([[0.1] * 10 + [0.0], [0.1] * 9 + [0.05, 0.05]])
+    uniforms = np.full(3, 1 - 2**-53)
+    assert np.array_equal(categorical_rows(table, uniforms, [0, 1, 0]), [9, 10, 9])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(width=10, n_rows=1, seed=1)  # a row ending in 0 whose total rounds below 1
 def test_categorical_rows_matches_the_comparison_lookup(width, n_rows, seed):
     rng = np.random.default_rng(seed)
     table = rng.random((n_rows, width))

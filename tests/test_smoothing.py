@@ -324,6 +324,27 @@ def test_forward_rejects_unsupported_lags_and_short_streams():
         sc.ffbs_forward_additive(history, model, short)
 
 
+def test_backward_refuses_a_lag_grid_over_the_memory_budget():
+    # at N = 1000 and lag 2 each N^3 array would take 8 GB; the call
+    # raises before the model is asked for any backward row
+    def no_rows(x, x_next):
+        raise AssertionError("a backward row was built")
+
+    n = 1000
+    model = dataclasses.replace(
+        sc.make_lgm(0.9, 0.6, 1.0, np.zeros(4)), transition_log_density=no_rows
+    )
+    history = make_history(np.zeros((4, n)), np.zeros((4, n)))
+    functional = sc.AdditiveFunctional(
+        lag=2, horizon=3, term=lambda t, a, b, c: a + b + c
+    )
+    with pytest.raises(sc.UnsupportedLagError) as refused:
+        sc.ffbs_backward_additive(history, model, functional)
+    message = str(refused.value)
+    assert "lag 2" in message and "N=1000" in message
+    assert str(8 * n**3) in message and str(smoothing._LAG_GRID_BYTES) in message
+
+
 def ffbsi_small_case():
     horizon = 2
     model = small_hmm(horizon)
@@ -371,6 +392,33 @@ def test_flat_kernel_accepts_every_proposal():
         history, model, 2000, sc.make_rng(95), return_stats=True
     )
     assert counters.accepted == counters.proposals
+    assert counters.fallbacks == 0
+
+
+class ScriptedUniforms:
+    """A generator stand-in whose k-th ``random`` call returns the k-th
+    value, repeated."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self, size):
+        return np.full(size, self.values.pop(0))
+
+
+def test_rejection_never_proposes_a_zero_weight_source():
+    # at t = 0 the last particle has weight 0 and the others 0.1 each,
+    # summing to 1 - 2**-53: the proposal uniform sits on that total and
+    # the acceptance uniform 0 accepts any source
+    positions = np.array([np.linspace(-1.0, 1.0, 11), np.zeros(11)])
+    log_weights = np.array([[0.0] * 10 + [-np.inf], [0.0] * 11])
+    history = make_history(positions, log_weights)
+    model = sc.make_lgm(0.9, 0.6, 1.0, np.zeros(2))
+    rng = ScriptedUniforms(0.0, 1 - 2**-53, 0.0)
+    paths, counters = sc.ffbsi_rejection_sample_paths(
+        history, model, 4, rng, return_stats=True
+    )
+    assert np.array_equal(paths[:, 0], [9] * 4)
     assert counters.fallbacks == 0
 
 
