@@ -101,9 +101,27 @@ class MixingBounds:
         return 1.0 - self.sigma_minus / self.sigma_plus
 
 
-def _gaussian_peak(sd: float) -> MixingBounds:
+@dataclass(frozen=True)
+class GaussianTransition:
+    """The AR(1) transition kernel N(phi x, sd^2) of the Gaussian families.
+
+    The model's density and sampler are this kernel's, and the backward
+    kernel reads ``(phi, sd)`` to build its rows in closed form.
+    """
+
+    phi: float
+    sd: float
+
+    def log_density(self, x, x_next):
+        return _normal_logpdf(x_next, self.phi * np.asarray(x, dtype=float), self.sd)
+
+    def sample(self, x, rng):
+        return rng.normal(self.phi * np.asarray(x, dtype=float), self.sd)
+
+
+def _gaussian_peak(kernel: GaussianTransition) -> MixingBounds:
     # the N(m, sd^2) density peaks at 1 / (sd sqrt(2 pi)) whatever m is
-    return MixingBounds(sigma_plus=1.0 / (sd * math.sqrt(2.0 * math.pi)))
+    return MixingBounds(sigma_plus=1.0 / (kernel.sd * math.sqrt(2.0 * math.pi)))
 
 
 @dataclass(frozen=True)
@@ -146,7 +164,9 @@ class StateSpaceModel:
     initial_log_density : callable (x) -> ndarray
         Log density of the initial law, elementwise.
     transition_log_density : callable (x, x_next) -> ndarray
-        Log transition density; broadcasts over both arguments.
+        Log transition density; broadcasts over both arguments.  The
+        backward kernel builds its rows from it unless
+        ``gaussian_transition`` is set.
     transition_sampler : callable (x, rng) -> ndarray
         One transition draw per entry of x.
     observation_log_density : callable (t, x) -> ndarray
@@ -162,6 +182,11 @@ class StateSpaceModel:
         means the model has no known bound.
     finite : FiniteModelData or None
         Exact-oracle hook, populated for finite-state models.
+    gaussian_transition : GaussianTransition or None
+        The ``(phi, sd)`` of an N(phi x, sd^2) transition, set by the
+        Gaussian families.  When it is set, the backward kernel builds
+        its rows from it and never calls ``transition_log_density`` for
+        them, so a copy that replaces one must replace both or neither.
     """
 
     initial_sampler: Callable[[np.random.Generator, int], np.ndarray]
@@ -173,6 +198,7 @@ class StateSpaceModel:
     state_dtype: np.dtype = field(default=np.dtype(np.float64))
     mixing_bounds: MixingBounds | None = None
     finite: FiniteModelData | None = None
+    gaussian_transition: GaussianTransition | None = None
 
 
 @dataclass(frozen=True)
@@ -279,6 +305,7 @@ def make_lgm(
     _require_finite("observations", y)
 
     initial_sd = sigma_u / math.sqrt(1.0 - phi * phi)
+    kernel = GaussianTransition(phi=phi, sd=sigma_u)
 
     def initial_sampler(rng, n):
         return rng.normal(0.0, initial_sd, size=n)
@@ -286,24 +313,18 @@ def make_lgm(
     def initial_log_density(x):
         return _normal_logpdf(x, 0.0, initial_sd)
 
-    def transition_log_density(x, x_next):
-        return _normal_logpdf(x_next, phi * np.asarray(x, dtype=float), sigma_u)
-
-    def transition_sampler(x, rng):
-        x = np.asarray(x, dtype=float)
-        return rng.normal(phi * x, sigma_u)
-
     def observation_log_density(t, x):
         return _normal_logpdf(y[t], np.asarray(x, dtype=float), sigma_v)
 
     return StateSpaceModel(
         initial_sampler=initial_sampler,
         initial_log_density=initial_log_density,
-        transition_log_density=transition_log_density,
-        transition_sampler=transition_sampler,
+        transition_log_density=kernel.log_density,
+        transition_sampler=kernel.sample,
         observation_log_density=observation_log_density,
         n_observations=y.size,
-        mixing_bounds=mixing_bounds or _gaussian_peak(sigma_u),
+        mixing_bounds=mixing_bounds or _gaussian_peak(kernel),
+        gaussian_transition=kernel,
     )
 
 
@@ -336,19 +357,13 @@ def make_svm(
 
     initial_sd = sigma / math.sqrt(1.0 - phi * phi)
     log_beta = math.log(beta)
+    kernel = GaussianTransition(phi=phi, sd=sigma)
 
     def initial_sampler(rng, n):
         return rng.normal(0.0, initial_sd, size=n)
 
     def initial_log_density(x):
         return _normal_logpdf(x, 0.0, initial_sd)
-
-    def transition_log_density(x, x_next):
-        return _normal_logpdf(x_next, phi * np.asarray(x, dtype=float), sigma)
-
-    def transition_sampler(x, rng):
-        x = np.asarray(x, dtype=float)
-        return rng.normal(phi * x, sigma)
 
     def observation_log_density(t, x):
         x = np.asarray(x, dtype=float)
@@ -358,11 +373,12 @@ def make_svm(
     return StateSpaceModel(
         initial_sampler=initial_sampler,
         initial_log_density=initial_log_density,
-        transition_log_density=transition_log_density,
-        transition_sampler=transition_sampler,
+        transition_log_density=kernel.log_density,
+        transition_sampler=kernel.sample,
         observation_log_density=observation_log_density,
         n_observations=y.size,
-        mixing_bounds=mixing_bounds or _gaussian_peak(sigma),
+        mixing_bounds=mixing_bounds or _gaussian_peak(kernel),
+        gaussian_transition=kernel,
     )
 
 

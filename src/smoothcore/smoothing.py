@@ -19,7 +19,9 @@ smoothing distribution:
 All four backward smoothers go through one per-step
 :class:`BackwardKernel`.  Its rows are built in log space, one per
 distinct target *state* (a row depends on nothing else, so a finite
-chain needs K rows per step), and swept in cache-sized blocks that are
+chain needs K rows per step): from the model's transition density, or,
+on a model with a Gaussian AR(1) transition, from a centered rank-2
+form of it.  They are swept in cache-sized blocks that are
 exponentiated in place and consumed at once by a mat-vec, which folds
 in each row's normalization, or by an exact row draw.
 Only :func:`backward_matrix` and the lagged (r >= 1) backward
@@ -127,12 +129,6 @@ class RejectionStats:
 # it is consumed.  Blocks of 16 rows, and one block of all N rows, both
 # measured slower on the benchmark cell.
 _BLOCK_BYTES = 512 * 1024
-# The model's log density is called on slices of at most this many bytes
-# of output, because its temporaries are as large as its output.  At 512
-# KB, glibc's malloc unmapped them after each block in a fresh process,
-# which then took ~3.6k page faults per step at N = 1000 and ran 1.8x
-# slower; at 128 KB they stay on the heap.
-_MODEL_CALL_BYTES = 128 * 1024
 # Columns per chunk in a row draw.  A draw picks its chunk from the
 # prefix sums of the row's chunk masses and its index from a cumsum over
 # that chunk alone, so it cumsums about N / _CHUNK + _CHUNK entries of a
@@ -157,7 +153,9 @@ class BackwardKernel:
     normalized over j.  A row depends only on the target's state, so
     every operation builds one row per distinct target value, in blocks
     of at most ``_BLOCK_BYTES`` that are exponentiated in place and
-    consumed before the next block is built.  Target indices refer to
+    consumed before the next block is built.  When the model carries a
+    ``gaussian_transition``, the rows come from its ``(phi, sd)`` and
+    ``transition_log_density`` is not called.  Target indices refer to
     the time t+1 cloud.
     """
 
@@ -175,7 +173,6 @@ class BackwardKernel:
         self.log_weights = log_weights
         self.next_positions = next_positions
         self.block = max(1, _BLOCK_BYTES // (8 * positions.shape[0]))
-        self.call_rows = max(1, _MODEL_CALL_BYTES // (8 * positions.shape[0]))
 
     def _blocks(self, targets: np.ndarray | None):
         """Yield ``(values, rows, members, which)`` per block of distinct
@@ -197,20 +194,39 @@ class BackwardKernel:
         starts = np.append(np.flatnonzero(fresh), ordered.size)
         row_of = np.cumsum(fresh) - 1
         values = ordered[starts[:-1]]
+        gaussian = self.model.gaussian_transition
+        if gaussian is not None:
+            # log w_j - ((v - phi x_j) / sd)^2 / 2, expanded about
+            # c = mean(phi x) as (v - c) slope_j + intercept_j: the row's
+            # own -((v - c) / sd)^2 / 2 and the density's constants cancel
+            # against the row max.  Centering keeps the expanded terms as
+            # small as the spread of the states rather than their size.
+            means = gaussian.phi * self.positions
+            center = np.mean(means)
+            means -= center
+            slope = means / gaussian.sd**2
+            intercept = self.log_weights - 0.5 * (means / gaussian.sd) ** 2
+            offsets = values - center
         # one buffer serves every block: each block is consumed before
         # the next one overwrites it
         buffer = np.empty((min(self.block, values.size), self.positions.shape[0]))
         for start in range(0, values.size, self.block):
             stop = min(start + self.block, values.size)
             rows = buffer[: stop - start]
-            for lo in range(start, stop, self.call_rows):
-                hi = min(lo + self.call_rows, stop)
+            if gaussian is not None:
+                # one product per entry, not a matrix product: BLAS takes
+                # a 1-row block through another routine, so a row's bits
+                # would depend on its block.  einsum's outer product
+                # took half the time of np.multiply.outer on 65 x 1000.
+                np.einsum("i,j->ij", offsets[start:stop], slope, out=rows)
+                rows += intercept
+            else:
                 np.add(
                     self.log_weights,
                     self.model.transition_log_density(
-                        self.positions[None, :], values[lo:hi, None]
+                        self.positions[None, :], values[start:stop, None]
                     ),
-                    out=rows[lo - start : hi - start],
+                    out=rows,
                 )
             top = rows.max(axis=1, keepdims=True)
             if not np.isfinite(top).all():
@@ -469,7 +485,9 @@ def ffbs_forward_additive(
 
     Maintains one running statistic per particle and updates it through
     each new backward row, so it needs only the current and previous
-    filter step.  Supports lags 0 and 1; the result matches
+    filter step.  A stream must count t = 0, 1, 2, ... in order up to
+    the functional's horizon; otherwise the call raises ``ValueError``.
+    Supports lags 0 and 1; the result matches
     :func:`ffbs_backward_additive` up to floating-point roundoff.
     """
     r = functional.lag
@@ -482,7 +500,11 @@ def ffbs_forward_additive(
         history_stream = history_steps(history_stream)
     steps = iter(history_stream)
 
-    prev = next(steps)
+    prev = next(steps, None)
+    if prev is None:
+        raise ValueError("empty filter step stream")
+    if prev.t != 0:
+        raise ValueError(f"stream starts at t={prev.t}, expected t=0")
     n = prev.positions.shape[0]
     if r == 0:
         statistics = np.asarray(functional.term(0, prev.positions), dtype=float)
@@ -491,6 +513,10 @@ def ffbs_forward_additive(
 
     for step in steps:
         t = step.t
+        if t != prev.t + 1:
+            raise ValueError(
+                f"stream step t={t} follows t={prev.t}, expected t={prev.t + 1}"
+            )
         kernel = BackwardKernel(
             model, t - 1, prev.positions, prev.log_weights, step.positions
         )

@@ -76,9 +76,16 @@ def test_backward_row_index_validation():
         sc.backward_matrix(history, model, 2)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 7])
-def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows):
+@pytest.mark.parametrize(
+    "block_rows, build",
+    [pytest.param(rows, "gaussian", id=str(rows)) for rows in (1, 3, 7)]
+    + [pytest.param(rows, "generic", id=f"{rows}-generic") for rows in (1, 3, 7)],
+)
+def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows, build):
     model, history = lgm_case(horizon=3, n_particles=20, seed=121)
+    if build == "generic":
+        # the kernel then calls the model's density for its rows
+        model = dataclasses.replace(model, gaussian_transition=None)
     positions = history.positions.copy()
     # repeated target states share one row
     positions[2, 12:] = positions[2, 4:12]
@@ -90,11 +97,10 @@ def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows
     assert whole.block >= 20
     single_block = whole.rows()
     monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * 20 * block_rows)
-    monkeypatch.setattr(smoothing, "_MODEL_CALL_BYTES", 8 * 20 * 2)
     kernel = smoothing.BackwardKernel(
         model, t, positions[t], history.log_weights[t], positions[t + 1]
     )
-    assert kernel.block == block_rows and kernel.call_rows == 2
+    assert kernel.block == block_rows
 
     matrix = kernel.rows()
     assert np.array_equal(matrix, single_block)
@@ -193,6 +199,83 @@ def test_kernel_draw_ends_land_on_the_outer_sources_of_positive_mass(support, pe
     assert np.array_equal(
         kernel.draw(targets, np.full(targets.size, below_one)), np.repeat(last, per_row)
     )
+
+
+def test_gaussian_rows_give_sources_of_zero_weight_an_exact_zero():
+    kernel = draw_kernel(DRAW_SUPPORTS["all chunks"])
+    assert kernel.model.gaussian_transition is not None
+    dead = np.isneginf(kernel.log_weights)
+    matrix = kernel.rows()
+    assert np.all(matrix[:, dead] == 0.0) and np.all(matrix[:, ~dead] > 0.0)
+    targets = np.repeat(np.arange(N_ROWS), 100)
+    uniforms = sc.make_rng(133).random(targets.size)
+    uniforms[::3] = 0.0
+    uniforms[1::3] = np.nextafter(1.0, 0.0)
+    assert not dead[kernel.draw(targets, uniforms)].any()
+
+
+def shifted_kernels(family, offset):
+    """The t = 2 kernel of a small lgm or svm history, its sources moved
+    by ``offset`` and its targets by phi * offset, which leaves the
+    kernel the same in exact arithmetic: built from the Gaussian form and
+    from the model's density."""
+    rng = sc.make_rng(151)
+    if family == "lgm":
+        _, y = sc.simulate_lgm(0.9, 0.6, 1.0, 4, rng)
+        model = sc.make_lgm(0.9, 0.6, 1.0, y)
+    else:
+        _, y = sc.simulate_svm(0.9, 0.6, 1.0, 4, rng)
+        model = sc.make_svm(0.9, 0.6, 1.0, y)
+    history = sc.run_filter(model, sc.bootstrap_proposal(model), 200, 4, rng)
+    t, phi = 2, model.gaussian_transition.phi
+    arguments = (
+        t,
+        history.positions[t] + offset,
+        history.log_weights[t],
+        history.positions[t + 1] + phi * offset,
+    )
+    generic = dataclasses.replace(model, gaussian_transition=None)
+    return (
+        smoothing.BackwardKernel(model, *arguments),
+        smoothing.BackwardKernel(generic, *arguments),
+    )
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+@pytest.mark.parametrize("family", ["lgm", "svm"])
+def test_gaussian_rows_match_the_density_rows(family, offset):
+    # the expansion is centered, so states far from 0 lose no more digits
+    # than states near it; uncentered, entries drifted by 7e-10 relative
+    # at 1e3 and 6e-6 at 1e5
+    gaussian, generic = shifted_kernels(family, offset)
+    fast, reference = gaussian.rows(), generic.rows()
+    assert np.allclose(fast, reference, rtol=0.0, atol=1e-12)
+    large = reference > 1e-12
+    assert large.sum() > reference.shape[0]
+    error = np.abs(fast - reference)[large] / reference[large]
+    assert error.max() <= 1e-12
+
+
+def test_gaussian_rows_name_the_degenerate_target_the_density_rows_name():
+    # every source has log weight -inf, so no row has support
+    named = []
+    for built in shifted_kernels("lgm", 0.0):
+        kernel = smoothing.BackwardKernel(
+            built.model,
+            built.t,
+            built.positions,
+            np.full_like(built.log_weights, -np.inf),
+            built.next_positions,
+        )
+        for targets in (None, np.array([7, 3, 5, 3])):
+            with pytest.raises(sc.DegenerateBackwardRowError) as info:
+                if targets is None:
+                    kernel.rows()
+                else:
+                    kernel.draw(targets, np.full(targets.size, 0.5))
+            named.append((info.value.time_index, info.value.target_index))
+    assert named[:2] == named[2:]
+    assert named[0][0] == 2
 
 
 def test_degenerate_backward_row_raises():
@@ -324,15 +407,43 @@ def test_forward_rejects_unsupported_lags_and_short_streams():
         sc.ffbs_forward_additive(history, model, short)
 
 
+@pytest.mark.parametrize(
+    "order, bad",
+    [
+        ([0, 1, 2, 4, 5, 6], 4),
+        ([0, 1, 2, 2, 3, 4, 5, 6], 2),
+        ([1, 2, 3, 4, 5, 6], 1),
+    ],
+    ids=["skipped", "repeated", "late start"],
+)
+def test_forward_refuses_a_stream_out_of_step(order, bad):
+    # each of these streams ends at the horizon, so without the check the
+    # call returned a wrong value
+    model, history = lgm_case(horizon=6, n_particles=50, seed=83)
+    functional = sc.state_sum_functional(6)
+    steps = list(sc.history_steps(history))
+    with pytest.raises(ValueError, match=rf"\bt={bad}\b"):
+        sc.ffbs_forward_additive((steps[t] for t in order), model, functional)
+
+
+def test_forward_refuses_an_empty_stream():
+    model, _ = lgm_case(horizon=6, n_particles=50, seed=83)
+    with pytest.raises(ValueError, match="empty"):
+        sc.ffbs_forward_additive(iter(()), model, sc.state_sum_functional(6))
+
+
 def test_backward_refuses_a_lag_grid_over_the_memory_budget():
     # at N = 1000 and lag 2 each N^3 array would take 8 GB; the call
-    # raises before the model is asked for any backward row
+    # raises before the model is asked for any backward row (without
+    # its Gaussian kernel, the model's density builds every row)
     def no_rows(x, x_next):
         raise AssertionError("a backward row was built")
 
     n = 1000
     model = dataclasses.replace(
-        sc.make_lgm(0.9, 0.6, 1.0, np.zeros(4)), transition_log_density=no_rows
+        sc.make_lgm(0.9, 0.6, 1.0, np.zeros(4)),
+        transition_log_density=no_rows,
+        gaussian_transition=None,
     )
     history = make_history(np.zeros((4, n)), np.zeros((4, n)))
     functional = sc.AdditiveFunctional(
