@@ -106,7 +106,8 @@ def filter_steps(
 
     Per step the generator consumes exactly ``n_particles`` uniforms
     for selection followed by the proposal sampler's draws, so a given
-    seed reproduces the run bit for bit.
+    seed reproduces the run bit for bit.  Invalid sizes raise
+    ``ValueError`` at the call, before any step is drawn.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
@@ -117,7 +118,16 @@ def filter_steps(
             f"horizon {horizon} exceeds the {model.n_observations} "
             "observation terms baked into the model"
         )
+    return _filter_steps(model, proposal, n_particles, horizon, rng)
 
+
+def _filter_steps(
+    model: StateSpaceModel,
+    proposal: AuxiliaryProposal,
+    n_particles: int,
+    horizon: int,
+    rng: np.random.Generator,
+) -> Iterator[FilterStep]:
     positions = np.asarray(proposal.initial_instrumental_sampler(rng, n_particles))
     log_weights = (
         np.asarray(model.initial_log_density(positions), dtype=float)
@@ -161,10 +171,12 @@ def run_filter(
     rng: np.random.Generator,
 ) -> ParticleHistory:
     """Run the filter to ``horizon`` and keep the whole history."""
+    # filter_steps checks the sizes before anything is allocated
+    steps = filter_steps(model, proposal, n_particles, horizon, rng)
     positions = np.empty((horizon + 1, n_particles), dtype=model.state_dtype)
     log_weights = np.empty((horizon + 1, n_particles))
     ancestors = np.empty((horizon, n_particles), dtype=np.int64)
-    for step in filter_steps(model, proposal, n_particles, horizon, rng):
+    for step in steps:
         positions[step.t] = step.positions
         log_weights[step.t] = step.log_weights
         if step.t > 0:

@@ -21,9 +21,10 @@ All four backward smoothers go through one per-step
 distinct target *state* (a row depends on nothing else, so a finite
 chain needs K rows per step): from the model's transition density, or,
 on a model with a Gaussian AR(1) transition, from a centered rank-2
-form of it.  They are swept in cache-sized blocks that are
-exponentiated in place and consumed at once by a mat-vec, which folds
-in each row's normalization, or by an exact row draw.
+form of it, as an exponentiated target factor times a per-source
+column.  They are swept in cache-sized blocks that are exponentiated
+in place and consumed at once by a mat-vec, which folds in the column
+and each row's normalization, or by an exact row draw.
 Only :func:`backward_matrix` and the lagged (r >= 1) backward
 contraction hold a full (N, N) matrix.
 """
@@ -144,6 +145,38 @@ _CHUNK = 32
 # (8 GB per array at N = 1000, r = 2).  It admits N <= 5792 at lag 1 and
 # N <= 322 at lag 2.
 _LAG_GRID_BYTES = 256 * 1024 * 1024
+# Span, in log units, of the target factors exp(d slope_j) within one
+# anchor bin of the Gaussian build: |d slope_j| <= _LOG_SPAN / 2.  Each
+# row's largest entry is then at least e^-150 and none exceeds e^150, so
+# no entry, row sum or mat-vec quotient (an entry over its row's sum,
+# under e^300) leaves float64's range of about e^709, and no row max is
+# needed.  The price is underflow: a column entry under e^-745 reads 0
+# although its row may lift it by up to e^150, so an entry under about
+# e^-445 of its row's largest may read 0, where a row max keeps entries
+# down to e^-745 of it.  A larger span means fewer bins on a widely
+# spread cloud.
+_LOG_SPAN = 300.0
+
+
+def _anchor_bins(offsets: np.ndarray, slope: np.ndarray) -> list[tuple]:
+    """Split sorted finite offsets into runs ``offsets[lo:hi]`` of one
+    anchor bin each, as ``(lo, hi, anchor)``.  Bin k holds the offsets o
+    with round(o / width) = k, width = _LOG_SPAN / max|slope|, and its
+    anchor a = k * width keeps |(o - a) slope_j| <= _LOG_SPAN / 2."""
+    scale = float(np.abs(slope).max())
+    if not 0.0 < scale < math.inf:
+        return [(0, offsets.size, 0.0)]
+    width = _LOG_SPAN / scale
+    # rounding is monotone, so the two ends tell whether one bin holds
+    # all; both round halves to even, as np.rint does below
+    first = round(offsets[0] / width)
+    if first == round(offsets[-1] / width):
+        return [(0, offsets.size, first * width)]
+    keys = np.rint(offsets / width)
+    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    lows = np.append(0, edges)
+    highs = np.append(edges, offsets.size)
+    return [(lo, hi, keys[lo] * width) for lo, hi in zip(lows, highs)]
 
 
 class BackwardKernel:
@@ -153,7 +186,9 @@ class BackwardKernel:
     normalized over j.  A row depends only on the target's state, so
     every operation builds one row per distinct target value, in blocks
     of at most ``_BLOCK_BYTES`` that are exponentiated in place and
-    consumed before the next block is built.  When the model carries a
+    consumed before the next block is built.  A block's row is its
+    entries times a per-source column, which each operation folds into
+    its mat-vec or multiplies in.  When the model carries a
     ``gaussian_transition``, the rows come from its ``(phi, sd)`` and
     ``transition_log_density`` is not called.  Target indices refer to
     the time t+1 cloud.
@@ -175,11 +210,13 @@ class BackwardKernel:
         self.block = max(1, _BLOCK_BYTES // (8 * positions.shape[0]))
 
     def _blocks(self, targets: np.ndarray | None):
-        """Yield ``(values, rows, members, which)`` per block of distinct
-        target values.  ``rows`` holds the rows of ``values``
-        exponentiated after subtracting each row's max, not normalized,
-        and target ``targets[members[m]]`` reads row ``which[m]``;
-        ``which`` is non-decreasing.
+        """Yield ``(values, rows, column, members, which)`` per block of
+        distinct target values.  Row m of the block is ``rows[m] * column``
+        up to a positive factor, not normalized: ``rows`` holds the
+        exponentiated target-dependent part and ``column`` the per-source
+        part, shared by the blocks of one anchor bin (ones when the rows
+        come from the model's density).  Target ``targets[members[m]]``
+        reads row ``which[m]``; ``which`` is non-decreasing.
         ``targets=None`` means the whole time t+1 cloud."""
         if targets is None:
             targets = np.arange(self.next_positions.shape[0])
@@ -194,49 +231,75 @@ class BackwardKernel:
         starts = np.append(np.flatnonzero(fresh), ordered.size)
         row_of = np.cumsum(fresh) - 1
         values = ordered[starts[:-1]]
+
+        def degenerate(row):
+            return DegenerateBackwardRowError(self.t, int(targets[order[starts[row]]]))
+
         gaussian = self.model.gaussian_transition
-        if gaussian is not None:
-            # log w_j - ((v - phi x_j) / sd)^2 / 2, expanded about
-            # c = mean(phi x) as (v - c) slope_j + intercept_j: the row's
-            # own -((v - c) / sd)^2 / 2 and the density's constants cancel
-            # against the row max.  Centering keeps the expanded terms as
-            # small as the spread of the states rather than their size.
+        if values.size == 0:
+            bins = []
+        elif gaussian is None:
+            bins = [(0, values.size, None, np.ones(self.positions.shape[0]))]
+        else:
+            # log w_j - ((v - phi x_j) / sd)^2 / 2 about c = mean(phi x):
+            # with offset o = v - c = a + d, it is d slope_j plus the
+            # column log w_j - ((phi x_j - c - a) / sd)^2 / 2, up to terms
+            # of the row alone, which cancel in its normalization.
+            # Centering keeps the terms as small as the spread of the
+            # states rather than their size.
             means = gaussian.phi * self.positions
             center = np.mean(means)
             means -= center
             slope = means / gaussian.sd**2
-            intercept = self.log_weights - 0.5 * (means / gaussian.sd) ** 2
             offsets = values - center
+            # values are sorted, so a non-finite offset sits at an end
+            if not (math.isfinite(offsets[0]) and math.isfinite(offsets[-1])):
+                raise degenerate(int(np.argmin(np.isfinite(offsets))))
+            bins = []
+            for lo, hi, anchor in _anchor_bins(offsets, slope):
+                column = self.log_weights - 0.5 * ((means - anchor) / gaussian.sd) ** 2
+                top = column.max()
+                if not math.isfinite(top):
+                    raise degenerate(lo)
+                column -= top
+                np.exp(column, out=column)
+                bins.append((lo, hi, offsets[lo:hi] - anchor, column))
         # one buffer serves every block: each block is consumed before
         # the next one overwrites it
         buffer = np.empty((min(self.block, values.size), self.positions.shape[0]))
-        for start in range(0, values.size, self.block):
-            stop = min(start + self.block, values.size)
-            rows = buffer[: stop - start]
-            if gaussian is not None:
-                # one product per entry, not a matrix product: BLAS takes
-                # a 1-row block through another routine, so a row's bits
-                # would depend on its block.  einsum's outer product
-                # took half the time of np.multiply.outer on 65 x 1000.
-                np.einsum("i,j->ij", offsets[start:stop], slope, out=rows)
-                rows += intercept
-            else:
-                np.add(
-                    self.log_weights,
-                    self.model.transition_log_density(
-                        self.positions[None, :], values[start:stop, None]
-                    ),
-                    out=rows,
+        for lo, hi, deltas, column in bins:
+            for start in range(lo, hi, self.block):
+                stop = min(start + self.block, hi)
+                rows = buffer[: stop - start]
+                if deltas is not None:
+                    # one product per entry, not a matrix product: BLAS
+                    # takes a 1-row block through another routine, so a
+                    # row's bits would depend on its block.  einsum's
+                    # outer product took half the time of np.multiply.outer
+                    # on 65 x 1000.  Within a bin every entry lies in
+                    # [-_LOG_SPAN / 2, _LOG_SPAN / 2], so no row max is needed.
+                    np.einsum("i,j->ij", deltas[start - lo : stop - lo], slope, out=rows)
+                else:
+                    np.add(
+                        self.log_weights,
+                        self.model.transition_log_density(
+                            self.positions[None, :], values[start:stop, None]
+                        ),
+                        out=rows,
+                    )
+                    top = rows.max(axis=1, keepdims=True)
+                    if not np.isfinite(top).all():
+                        raise degenerate(start + int(np.argmin(np.isfinite(top[:, 0]))))
+                    rows -= top
+                np.exp(rows, out=rows)
+                first, last = starts[start], starts[stop]
+                yield (
+                    values[start:stop],
+                    rows,
+                    column,
+                    order[first:last],
+                    row_of[first:last] - start,
                 )
-            top = rows.max(axis=1, keepdims=True)
-            if not np.isfinite(top).all():
-                bad = start + int(np.argmin(np.isfinite(top[:, 0])))
-                target = int(targets[order[starts[bad]]])
-                raise DegenerateBackwardRowError(self.t, target)
-            rows -= top
-            np.exp(rows, out=rows)
-            lo, hi = starts[start], starts[stop]
-            yield values[start:stop], rows, order[lo:hi], row_of[lo:hi] - start
 
     def left(self, v: np.ndarray) -> np.ndarray:
         """``v . Lambda``: carries a law over the time t+1 cloud back onto
@@ -244,9 +307,9 @@ class BackwardKernel:
         if self.model.finite is not None:
             return self._left_finite(v)
         out = np.zeros(self.positions.shape[0])
-        for _, rows, members, which in self._blocks(None):
+        for _, rows, column, members, which in self._blocks(None):
             credit = np.bincount(which, weights=v[members], minlength=len(rows))
-            out += (credit / rows.sum(axis=1)) @ rows
+            out += column * ((credit / (rows @ column)) @ rows)
         return out
 
     def _left_finite(self, v: np.ndarray) -> np.ndarray:
@@ -273,13 +336,23 @@ class BackwardKernel:
         target values and returning their (rows, N) pair terms, each row
         averages ``s + pair(target)`` instead."""
         out = np.empty(self.next_positions.shape[0])
-        for values, rows, members, which in self._blocks(None):
-            mass = rows.sum(axis=1)
+        paired = None
+        for values, rows, column, members, which in self._blocks(None):
             if pair is None:
-                means = (rows @ s) / mass
+                if paired is not column:
+                    # one (N, 2) operand per bin: each row's mass and its
+                    # weighted sum of s come from one product, which took
+                    # half the time of two mat-vecs on 65 x 1000
+                    paired = column
+                    both = np.empty((2, column.size))
+                    both[0] = column
+                    np.multiply(column, s, out=both[1])
+                mass, total = (rows @ both.T).T
             else:
-                means = np.sum(rows * (s + pair(values[:, None])), axis=1) / mass
-            out[members] = means[which]
+                rows *= column
+                mass = rows.sum(axis=1)
+                total = np.sum(rows * (s + pair(values[:, None])), axis=1)
+            out[members] = (total / mass)[which]
         return out
 
     def draw(self, targets: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -302,7 +375,8 @@ class BackwardKernel:
         starts = np.maximum(n - width * np.arange(n_chunks, 0, -1), 0)
         last_lane = np.append(starts[1:], n) - starts - 1
         drawn = np.empty(targets.size, dtype=np.int64)
-        for _, rows, members, which in self._blocks(targets):
+        for _, rows, column, members, which in self._blocks(targets):
+            rows *= column
             if which.size > len(rows) * _CHUNK:
                 # rows drawn more than _CHUNK times each (a finite chain's
                 # few rows): one cumsum and one search per row cost less
@@ -341,7 +415,8 @@ class BackwardKernel:
         particle) as a (targets, N) array."""
         size = self.next_positions.shape[0] if targets is None else targets.size
         out = np.empty((size, self.positions.shape[0]))
-        for _, rows, members, which in self._blocks(targets):
+        for _, rows, column, members, which in self._blocks(targets):
+            rows *= column
             rows /= rows.sum(axis=1)[:, None]
             out[members] = rows[which]
         return out
@@ -716,12 +791,11 @@ def path_space_estimate(
     at the final step.  Memory stays O(N) in the horizon.
     """
     r = functional.lag
-    sums = np.zeros(max(n_particles, 0))
+    steps = filter_steps(model, proposal, n_particles, functional.horizon, rng)
+    sums = np.zeros(n_particles)
     window: list[np.ndarray] = []
     last_step = None
-    for step in filter_steps(
-        model, proposal, n_particles, functional.horizon, rng
-    ):
+    for step in steps:
         if step.t > 0:
             sums = sums[step.ancestors]
             window = [w[step.ancestors] for w in window]

@@ -139,6 +139,18 @@ def test_missing_data_file_is_a_usage_error(capsys):
     assert "file not found" in err
 
 
+def test_a_negative_particle_count_is_a_usage_error(tmp_path, capsys):
+    data = tmp_path / "obs.csv"
+    run_cli(capsys, "generate", "--model", "lgm", *LGM_FLAGS,
+            "--horizon", "4", "--seed", "1", "--out", str(data))
+    code, out, err = run_cli(
+        capsys, "smooth", "--data", str(data), "--model", "lgm", *LGM_FLAGS,
+        "--method", "ffbs_backward", "--n", "-3", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert "n_particles must be >= 1, got -3" in err
+
+
 def smooth_on(tmp_path, capsys, text):
     data = tmp_path / "obs.csv"
     data.write_text(text, encoding="utf-8")

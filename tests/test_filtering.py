@@ -159,6 +159,21 @@ def test_argument_validation():
         sc.filter_estimate(history, -1, lambda x: x)
 
 
+def test_sizes_are_checked_before_anything_is_allocated():
+    model, _ = lgm_setup(horizon=10)
+    proposal = sc.bootstrap_proposal(model)
+    with pytest.raises(ValueError, match="n_particles must be >= 1, got -3"):
+        sc.run_filter(model, proposal, -3, 3, sc.make_rng(0))
+    with pytest.raises(ValueError, match="horizon must be >= 0, got -2"):
+        sc.run_filter(model, proposal, 8, -2, sc.make_rng(0))
+    # a history this size would take 745 GiB
+    with pytest.raises(ValueError, match="exceeds the 11 observation terms"):
+        sc.run_filter(model, proposal, 10**6, 10**5, sc.make_rng(0))
+    # the stream checks at the call, not at its first step
+    with pytest.raises(ValueError, match="n_particles"):
+        sc.filter_steps(model, proposal, 0, 3, sc.make_rng(0))
+
+
 def test_effective_sample_size_extremes():
     positions = np.zeros((1, 5))
     equal = make_history(positions, np.zeros((1, 5)))

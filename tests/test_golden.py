@@ -4,7 +4,8 @@ Sampled index trajectories, filter clouds and backward kernel rows are
 hashed byte for byte.  A refactor that keeps each row's elementwise
 operations and its own ``sum`` order reproduces the rows exactly.  The
 Gaussian models' rows are built from a centered rank-2 expansion of the
-log density, not from the model's density, so their entries differ
+log density, exponentiated as a target factor times a per-source
+column, not from the model's density, so their entries differ
 from the density's in the last bits and the lgm ``matrices`` digest
 pins that build.  A draw is an inverse-CDF lookup, so a refactor that
 only rounds the CDF differently (the rank-2 rows, or the row draw's
@@ -63,7 +64,7 @@ DIGESTS = {
         "direct": "7cf9d238f3ffe0011043a8b92dfd8cf25bd478ddf4a7b6216cafe6652103afd4",
         "rejection": "d3dc25e3183f089dccdaef9a5e1fcfc831f74617dbd068f5a4ea36fdc835a562",
         "fallback": "f45a517eee91b8b9aff097f3f8c452c71973f8ec6401f997a87546ae297bee22",
-        "matrices": "b97d0678b0795163272ba02d880bb8dc45c2d1e283ccfdae5146222e5713f63d",
+        "matrices": "ec14c14380ab0ea39cd749eaac87fdf5af8317e5235bd015c565953c65418efd",
     },
     "finite": {
         "positions": "15e418b91ebdd591d4a530ce56c49560284de81fdbf0ee7738310643047a2b74",

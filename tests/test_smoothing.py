@@ -76,17 +76,27 @@ def test_backward_row_index_validation():
         sc.backward_matrix(history, model, 2)
 
 
+def anchor_bins(kernel, targets=None):
+    """The number of anchor bins a kernel's blocks fall into."""
+    return len({id(column) for _, _, column, _, _ in kernel._blocks(targets)})
+
+
 @pytest.mark.parametrize(
     "block_rows, build",
     [pytest.param(rows, "gaussian", id=str(rows)) for rows in (1, 3, 7)]
-    + [pytest.param(rows, "generic", id=f"{rows}-generic") for rows in (1, 3, 7)],
+    + [pytest.param(rows, "generic", id=f"{rows}-generic") for rows in (1, 3, 7)]
+    + [pytest.param(rows, "binned", id=f"{rows}-binned") for rows in (1, 3, 7)],
 )
 def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows, build):
     model, history = lgm_case(horizon=3, n_particles=20, seed=121)
+    positions = history.positions.copy()
     if build == "generic":
         # the kernel then calls the model's density for its rows
         model = dataclasses.replace(model, gaussian_transition=None)
-    positions = history.positions.copy()
+    elif build == "binned":
+        # each time slice a shuffled grid 2 apart: wide enough that the
+        # targets fall into several anchor bins
+        positions = 2.0 * np.argsort(positions, axis=1)
     # repeated target states share one row
     positions[2, 12:] = positions[2, 4:12]
     history = make_history(positions, history.log_weights)
@@ -95,6 +105,7 @@ def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows
         model, t, positions[t], history.log_weights[t], positions[t + 1]
     )
     assert whole.block >= 20
+    assert (anchor_bins(whole) >= 3) == (build == "binned")
     single_block = whole.rows()
     monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * 20 * block_rows)
     kernel = smoothing.BackwardKernel(
@@ -256,10 +267,85 @@ def test_gaussian_rows_match_the_density_rows(family, offset):
     assert error.max() <= 1e-12
 
 
-def test_gaussian_rows_name_the_degenerate_target_the_density_rows_name():
-    # every source has log weight -inf, so no row has support
+def wide_kernels(targets=None):
+    """Sources and (by default) targets on 0, 1, ..., 199 under the lgm
+    kernel N(0.9 x, 0.6^2): spread over far more than one anchor bin.
+    Built from the Gaussian form and from the model's density."""
+    model = sc.make_lgm(0.9, 0.6, 1.0, [0.0])
+    positions = np.arange(200.0)
+    arguments = (
+        0,
+        positions,
+        sc.make_rng(161).normal(size=200),
+        positions if targets is None else targets,
+    )
+    generic = dataclasses.replace(model, gaussian_transition=None)
+    return (
+        smoothing.BackwardKernel(model, *arguments),
+        smoothing.BackwardKernel(generic, *arguments),
+    )
+
+
+def assert_rows_match(fast, reference):
+    assert np.allclose(fast, reference, rtol=0.0, atol=1e-12)
+    large = reference > 1e-12
+    error = np.abs(fast - reference)[large] / reference[large]
+    assert error.max() <= 1e-12
+
+
+def test_binned_gaussian_rows_match_the_density_rows():
+    # each bin expands about its own anchor; one expansion about the
+    # center, unbinned, drifted by 5.6e-12 relative on this grid
+    gaussian, generic = wide_kernels()
+    assert anchor_bins(gaussian) >= 3
+    fast, reference = gaussian.rows(), generic.rows()
+    assert_rows_match(fast, reference)
+    assert np.allclose(fast.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_an_outlying_target_gets_the_density_row():
+    gaussian, generic = shifted_kernels("lgm", 0.0)
+    means = gaussian.model.gaussian_transition.phi * gaussian.positions
+    sd = gaussian.model.gaussian_transition.sd
+    targets = gaussian.next_positions.copy()
+    targets[5] = means.max() + 50.0 * sd
+    gaussian, generic = (
+        smoothing.BackwardKernel(
+            kernel.model, kernel.t, kernel.positions, kernel.log_weights, targets
+        )
+        for kernel in (gaussian, generic)
+    )
+    fast, reference = gaussian.rows(), generic.rows()
+    assert fast[5].sum() == pytest.approx(1.0, abs=1e-12)
+    assert_rows_match(fast, reference)
+
+
+def test_a_flat_gaussian_kernel_raises_no_floating_point_error():
+    # with phi = 0 every slope is 0: one bin, and nothing to divide by
+    model = sc.make_lgm(0.0, 0.6, 1.0, [0.0])
+    rng = sc.make_rng(171)
+    log_weights = rng.normal(size=30)
+    kernel = smoothing.BackwardKernel(
+        model, 0, rng.normal(size=30), log_weights, rng.normal(size=30)
+    )
+    targets, uniforms = rng.integers(0, 30, size=100), rng.random(100)
+    with np.errstate(all="raise"):
+        matrix = kernel.rows()
+        left = kernel.left(np.full(30, 1.0 / 30))
+        right = kernel.right(np.arange(30.0))
+        drawn = kernel.draw(targets, uniforms)
+    weights = sc.exp_normalize(log_weights)
+    assert np.allclose(matrix, weights[None, :], rtol=1e-14, atol=0.0)
+    assert np.allclose(left, weights, rtol=1e-14, atol=0.0)
+    assert np.allclose(right, weights @ np.arange(30.0), rtol=1e-14, atol=0.0)
+    assert np.array_equal(drawn, categorical_rows(matrix, uniforms, targets))
+
+
+def degenerate_targets_named(pair):
+    """The (t, target) each build names when every source has log weight
+    -inf, so that no row has support: through ``rows()`` and ``draw``."""
     named = []
-    for built in shifted_kernels("lgm", 0.0):
+    for built in pair:
         kernel = smoothing.BackwardKernel(
             built.model,
             built.t,
@@ -274,8 +360,32 @@ def test_gaussian_rows_name_the_degenerate_target_the_density_rows_name():
                 else:
                     kernel.draw(targets, np.full(targets.size, 0.5))
             named.append((info.value.time_index, info.value.target_index))
+    return named
+
+
+def test_gaussian_rows_name_the_degenerate_target_the_density_rows_name():
+    named = degenerate_targets_named(shifted_kernels("lgm", 0.0))
     assert named[:2] == named[2:]
     assert named[0][0] == 2
+
+
+def test_binned_rows_name_the_degenerate_target_the_density_rows_name():
+    # the draw's targets 7, 3 and 5 fall into three anchor bins
+    assert anchor_bins(wide_kernels(np.array([7.0, 3.0, 5.0]))[0]) == 3
+    named = degenerate_targets_named(wide_kernels())
+    assert named[:2] == named[2:]
+    assert named[0][0] == 0
+
+
+def test_a_target_off_the_real_line_is_named_by_both_builds():
+    named = []
+    for states in ([4.0, np.nan, 9.0], [4.0, np.inf, np.nan], [-np.inf, 4.0, 9.0]):
+        pair = wide_kernels(np.array(states))
+        for kernel in pair:
+            with pytest.raises(sc.DegenerateBackwardRowError) as info:
+                kernel.rows()
+            named.append(info.value.target_index)
+    assert named == [1, 1, 1, 1, 0, 0]
 
 
 def test_degenerate_backward_row_raises():
