@@ -24,7 +24,9 @@ on a model with a Gaussian AR(1) transition, from a centered rank-2
 form of it, as an exponentiated target factor times a per-source
 column.  They are swept in cache-sized blocks that are exponentiated
 in place and consumed at once by a mat-vec, which folds in the column
-and each row's normalization, or by an exact row draw.
+and each row's normalization, or by an exact row draw, which reads each
+block once for its rows' chunk masses and then rebuilds, for each draw,
+the one chunk its uniform lands in.
 Only :func:`backward_matrix` and the lagged (r >= 1) backward
 contraction hold a full (N, N) matrix.
 """
@@ -57,7 +59,6 @@ from .models import (
     StateSpaceModel,
     categorical_cdf,
     categorical_indices,
-    first_above,
     format_float,
 )
 
@@ -131,13 +132,19 @@ class RejectionStats:
 # measured slower on the benchmark cell.
 _BLOCK_BYTES = 512 * 1024
 # Columns per chunk in a row draw.  A draw picks its chunk from the
-# prefix sums of the row's chunk masses and its index from a cumsum over
-# that chunk alone, so it cumsums about N / _CHUNK + _CHUNK entries of a
-# row instead of all N; numpy's cumsum costs about 5 ns per entry, more
-# than exp.  A step's build and draw (min of 11) took 6.0 ms with 32
-# columns at N = 1000, against 6.35 ms with 64, 6.7 with 16 and 6.8 with
-# 128; at N = 300, 0.55 ms against 0.57-1.02 ms.
-_CHUNK = 32
+# prefix sums of its row's N / _CHUNK chunk masses and its index from a
+# cumsum over _CHUNK entries of that chunk, rebuilt for the draw, so the
+# chunk masses cost per row and chunk and the rebuild per draw and
+# column.  On lgm at T = 300, ffbsi_sample_paths (min of 21 alternating
+# runs, 2-vCPU VM) took 0.612 s with 16 columns at N = 1000 against
+# 0.620 s with 32, and 0.116 s against 0.124 s at N = 300; 64 columns
+# took 0.65-0.69 s and 0.14 s in shorter sweeps.
+_CHUNK = 16
+# Bytes of the prefix sums one row draw holds for its search, one copy
+# per distinct row and one per draw: (N / _CHUNK + 1) floats each, about
+# 1 MB for 1000 draws at N = 1000.  Past it the targets are drawn in parts,
+# which may build a row once per part.
+_SEARCH_BYTES = 64 * 1024 * 1024
 # Bytes of one float64 array of N^(r+1) entries in a lag r >= 1
 # contraction.  Several such arrays live at once (the einsum block, the
 # term on the particle grid and their product), so a contraction inside
@@ -208,16 +215,31 @@ class BackwardKernel:
         self.log_weights = log_weights
         self.next_positions = next_positions
         self.block = max(1, _BLOCK_BYTES // (8 * positions.shape[0]))
+        gaussian = model.gaussian_transition
+        if gaussian is not None:
+            # log w_j - ((v - phi x_j) / sd)^2 / 2 about c = mean(phi x):
+            # with offset o = v - c = a + d, it is d slope_j plus the
+            # column log w_j - ((phi x_j - c - a) / sd)^2 / 2, up to terms
+            # of the row alone, which cancel in its normalization.
+            # Centering keeps the terms as small as the spread of the
+            # states rather than their size.
+            self._means = gaussian.phi * positions
+            self._center = np.mean(self._means)
+            self._means -= self._center
+            self._slope = self._means / gaussian.sd**2
 
     def _blocks(self, targets: np.ndarray | None):
-        """Yield ``(values, rows, column, members, which)`` per block of
-        distinct target values.  Row m of the block is ``rows[m] * column``
-        up to a positive factor, not normalized: ``rows`` holds the
-        exponentiated target-dependent part and ``column`` the per-source
-        part, shared by the blocks of one anchor bin (ones when the rows
-        come from the model's density).  Target ``targets[members[m]]``
-        reads row ``which[m]``; ``which`` is non-decreasing.
-        ``targets=None`` means the whole time t+1 cloud."""
+        """Yield ``(values, rows, column, members, which, shifts)`` per
+        block of distinct target values.  Row m of the block is
+        ``rows[m] * column`` up to a positive factor, not normalized:
+        ``rows`` holds the exponentiated target-dependent part and
+        ``column`` the per-source part, shared by the blocks of one anchor
+        bin (ones when the rows come from the model's density).
+        ``shifts[m]`` is what :meth:`_entries` needs to rebuild entries of
+        row m: its offset from the bin's anchor, or the row max taken out
+        of its density row.  Target ``targets[members[m]]`` reads row
+        ``which[m]``; ``which`` is non-decreasing.  ``targets=None`` means
+        the whole time t+1 cloud."""
         if targets is None:
             targets = np.arange(self.next_positions.shape[0])
         # sort the targets by state: the targets order[starts[k]:starts[k + 1]]
@@ -241,23 +263,14 @@ class BackwardKernel:
         elif gaussian is None:
             bins = [(0, values.size, None, np.ones(self.positions.shape[0]))]
         else:
-            # log w_j - ((v - phi x_j) / sd)^2 / 2 about c = mean(phi x):
-            # with offset o = v - c = a + d, it is d slope_j plus the
-            # column log w_j - ((phi x_j - c - a) / sd)^2 / 2, up to terms
-            # of the row alone, which cancel in its normalization.
-            # Centering keeps the terms as small as the spread of the
-            # states rather than their size.
-            means = gaussian.phi * self.positions
-            center = np.mean(means)
-            means -= center
-            slope = means / gaussian.sd**2
-            offsets = values - center
+            slope = self._slope
+            offsets = values - self._center
             # values are sorted, so a non-finite offset sits at an end
             if not (math.isfinite(offsets[0]) and math.isfinite(offsets[-1])):
                 raise degenerate(int(np.argmin(np.isfinite(offsets))))
             bins = []
             for lo, hi, anchor in _anchor_bins(offsets, slope):
-                column = self.log_weights - 0.5 * ((means - anchor) / gaussian.sd) ** 2
+                column = self.log_weights - 0.5 * ((self._means - anchor) / gaussian.sd) ** 2
                 top = column.max()
                 if not math.isfinite(top):
                     raise degenerate(lo)
@@ -278,7 +291,8 @@ class BackwardKernel:
                     # outer product took half the time of np.multiply.outer
                     # on 65 x 1000.  Within a bin every entry lies in
                     # [-_LOG_SPAN / 2, _LOG_SPAN / 2], so no row max is needed.
-                    np.einsum("i,j->ij", deltas[start - lo : stop - lo], slope, out=rows)
+                    shifts = deltas[start - lo : stop - lo]
+                    np.einsum("i,j->ij", shifts, slope, out=rows)
                 else:
                     np.add(
                         self.log_weights,
@@ -291,6 +305,7 @@ class BackwardKernel:
                     if not np.isfinite(top).all():
                         raise degenerate(start + int(np.argmin(np.isfinite(top[:, 0]))))
                     rows -= top
+                    shifts = top[:, 0]
                 np.exp(rows, out=rows)
                 first, last = starts[start], starts[stop]
                 yield (
@@ -299,7 +314,24 @@ class BackwardKernel:
                     column,
                     order[first:last],
                     row_of[first:last] - start,
+                    shifts,
                 )
+
+    def _entries(self, values, shifts, sources):
+        """The entries at sources ``sources[k, m]`` of the row of target
+        value ``values[m]`` and shift ``shifts[m]`` (see :meth:`_blocks`),
+        before its column: the block build's operations, entry for entry,
+        so its bits."""
+        if self.model.gaussian_transition is not None:
+            part = self._slope[sources]
+            part *= shifts
+        else:
+            part = np.add(
+                self.log_weights[sources],
+                self.model.transition_log_density(self.positions[sources], values),
+            )
+            part -= shifts
+        return np.exp(part, out=part)
 
     def left(self, v: np.ndarray) -> np.ndarray:
         """``v . Lambda``: carries a law over the time t+1 cloud back onto
@@ -307,7 +339,7 @@ class BackwardKernel:
         if self.model.finite is not None:
             return self._left_finite(v)
         out = np.zeros(self.positions.shape[0])
-        for _, rows, column, members, which in self._blocks(None):
+        for _, rows, column, members, which, _ in self._blocks(None):
             credit = np.bincount(which, weights=v[members], minlength=len(rows))
             out += column * ((credit / (rows @ column)) @ rows)
         return out
@@ -337,7 +369,7 @@ class BackwardKernel:
         averages ``s + pair(target)`` instead."""
         out = np.empty(self.next_positions.shape[0])
         paired = None
-        for values, rows, column, members, which in self._blocks(None):
+        for values, rows, column, members, which, _ in self._blocks(None):
             if pair is None:
                 if paired is not column:
                     # one (N, 2) operand per bin: each row's mass and its
@@ -359,55 +391,111 @@ class BackwardKernel:
         """One time t index per target, from the target's row by exact
         inverse CDF with the matching uniform.
 
-        A draw reads its row unnormalized, in two levels: the prefix sums
-        of the row's chunk masses pick the chunk where ``u`` times the
-        row's mass falls, and a cumsum over that chunk alone picks the
-        index.  A row drawn many times is searched in its full cumsum
-        instead.  In exact arithmetic either gives the first index whose
-        cumulative probability exceeds ``u``; a source of zero mass is
-        never drawn."""
+        A draw reads its row unnormalized, in two levels.  Each block is
+        read once, by batched mat-vecs that give its rows' chunk masses
+        with the column folded in.  After the last block one search
+        serves every draw: the prefix sums of its row's chunk masses pick
+        the chunk where ``u`` times the row's mass falls, and a cumsum
+        over that chunk's entries, rebuilt from the row's formula with
+        the block's bits, picks the index.  A row drawn many times is
+        searched in its full cumsum instead.  In exact arithmetic either
+        gives the first index whose cumulative probability exceeds ``u``;
+        a source of zero mass is never drawn."""
         n = self.positions.shape[0]
         width = min(_CHUNK, n)
         n_chunks = -(-n // width)
+        # the search holds n_chunks + 1 prefix sums per row and again per
+        # draw; past _SEARCH_BYTES, the targets are drawn in parts
+        size = max(1, _SEARCH_BYTES // (16 * (n_chunks + 1)))
+        if targets.size > size:
+            return np.concatenate(
+                [
+                    self.draw(targets[lo : lo + size], uniforms[lo : lo + size])
+                    for lo in range(0, targets.size, size)
+                ]
+            )
         # chunk k covers columns starts[k]:starts[k + 1]; the first one is
-        # the narrow one, so the `width` columns from any chunk's start
-        # stay inside its row
-        starts = np.maximum(n - width * np.arange(n_chunks, 0, -1), 0)
-        last_lane = np.append(starts[1:], n) - starts - 1
+        # the narrow one, `head` columns wide, so the `width` columns from
+        # any chunk's start stay inside its row
+        head = n - width * (n_chunks - 1)
+        starts = np.arange(head - width, n, width)
+        starts[0] = 0
         drawn = np.empty(targets.size, dtype=np.int64)
-        for _, rows, column, members, which in self._blocks(targets):
-            rows *= column
+        # along the step's rows, block after block: cdf[k + 1, row] holds
+        # the mass of the row's chunk k, and after the cumsum its mass up
+        # to the end of chunk k
+        cdf = np.empty((n_chunks + 1, targets.size))
+        cdf[0] = 0.0
+        values = np.empty(targets.size, dtype=self.next_positions.dtype)
+        shifts = np.empty(targets.size)
+        # along the draws, in block order: draw d is target members[d] and
+        # reads row row_of[d]; the draws lo:hi of a span [lo, hi, column]
+        # read rows of that column
+        members = np.empty(targets.size, dtype=np.int64)
+        row_of = np.empty(targets.size, dtype=np.int64)
+        spans = []
+        n_rows = filled = 0
+        for block_values, rows, column, block_members, which, block_shifts in (
+            self._blocks(targets)
+        ):
             if which.size > len(rows) * _CHUNK:
                 # rows drawn more than _CHUNK times each (a finite chain's
                 # few rows): one cumsum and one search per row cost less
+                rows *= column
                 edges = np.searchsorted(which, np.arange(len(rows) + 1))
                 for row, lo, hi in zip(rows, edges[:-1], edges[1:]):
-                    cdf = np.cumsum(row)
-                    drawn[members[lo:hi]] = np.searchsorted(
-                        cdf, uniforms[members[lo:hi]] * cdf[-1], side="right"
+                    row_cdf = np.cumsum(row)
+                    drawn[block_members[lo:hi]] = np.searchsorted(
+                        row_cdf, uniforms[block_members[lo:hi]] * row_cdf[-1], side="right"
                     )
                 continue
-            # a leading 0 column makes cdf[m, k] the mass before chunk k
-            cdf = np.zeros((len(rows), n_chunks + 1))
-            np.cumsum(np.add.reduceat(rows, starts, axis=1), axis=1, out=cdf[:, 1:])
-            cdf = cdf[which]
-            picks = np.arange(which.size)
-            x = uniforms[members] * cdf[:, -1]
-            chunk = first_above(cdf[:, 1:], x)
-            x -= cdf[picks, chunk]
-            # a view of every run of `width` consecutive entries of the
-            # block: row m's chunk k is run m * n + starts[k]
-            step = rows.itemsize
-            runs = np.ndarray(
-                (rows.size - width + 1, width), rows.dtype, rows, 0, (step, step)
+            first, n_rows = n_rows, n_rows + len(rows)
+            lo, filled = filled, filled + which.size
+            # the full chunks as a (chunks, rows, width) view against the
+            # column's (chunks, width, 1) view: one batched BLAS product,
+            # which took 27 us on 65 x 1000 against 159 us for the column
+            # product and np.add.reduceat
+            np.matmul(rows[:, :head], column[:head], out=cdf[1, first:n_rows])
+            np.matmul(
+                rows[:, head:].reshape(len(rows), n_chunks - 1, width).transpose(1, 0, 2),
+                column[head:].reshape(n_chunks - 1, width, 1),
+                out=cdf[2:, first:n_rows, None],
             )
-            inner = np.cumsum(runs[which * n + starts[chunk]], axis=1)
-            # the chunk masses and this cumsum round differently: keep x
-            # below the chunk's total so that it lands on a source of
-            # positive mass inside the chunk
-            total = inner[picks, last_lane[chunk]]
-            np.minimum(x, np.nextafter(total, 0.0), out=x)
-            drawn[members] = starts[chunk] + first_above(inner, x)
+            values[first:n_rows] = block_values
+            shifts[first:n_rows] = block_shifts
+            members[lo:filled] = block_members
+            np.add(which, first, out=row_of[lo:filled])
+            if spans and spans[-1][2] is column:
+                spans[-1][1] = filled
+            else:
+                spans.append([lo, filled, column])
+        if not filled:
+            return drawn
+        # np.cumsum down axis 0 runs one short loop per column; a Python
+        # loop adding whole rows was faster on 33 x 1000 (84 against
+        # 133 us) but added about 25 us to a draw of 5 targets
+        cdf = cdf[:, :n_rows]
+        np.cumsum(cdf, axis=0, out=cdf)
+        members, row_of = members[:filled], row_of[:filled]
+        cdf = cdf[:, row_of]
+        picks = np.arange(filled)
+        x = uniforms[members] * cdf[-1]
+        # the prefix sums never fall, so the count of those at most x is
+        # the first chunk whose prefix sum exceeds x
+        chunk = (cdf[1:] <= x).sum(axis=0)
+        x -= cdf[chunk, picks]
+        # lane k of draw d is column starts[chunk[d]] + k of its row
+        lanes = starts[chunk] + np.arange(width)[:, None]
+        inner = self._entries(values[row_of], shifts[row_of], lanes)
+        for lo, hi, column in spans:
+            inner[:, lo:hi] *= column[lanes[:, lo:hi]]
+        np.cumsum(inner, axis=0, out=inner)
+        # the chunk masses and this cumsum round differently: keep x
+        # below the chunk's total so that it lands on a source of
+        # positive mass inside the chunk
+        total = inner[np.where(chunk > 0, width, head) - 1, picks]
+        np.minimum(x, np.nextafter(total, 0.0), out=x)
+        drawn[members] = starts[chunk] + (inner <= x).sum(axis=0)
         return drawn
 
     def rows(self, targets: np.ndarray | None = None) -> np.ndarray:
@@ -415,7 +503,7 @@ class BackwardKernel:
         particle) as a (targets, N) array."""
         size = self.next_positions.shape[0] if targets is None else targets.size
         out = np.empty((size, self.positions.shape[0]))
-        for _, rows, column, members, which in self._blocks(targets):
+        for _, rows, column, members, which, _ in self._blocks(targets):
             rows *= column
             rows /= rows.sum(axis=1)[:, None]
             out[members] = rows[which]
@@ -749,6 +837,10 @@ def ffbsi_estimate(
     """Average the additive functional along sampled index trajectories."""
     _check_functional(history, functional)
     trajectories = np.asarray(trajectories)
+    if trajectories.dtype.kind not in "iu":
+        raise ValueError(
+            f"trajectories must hold integer indices, got dtype {trajectories.dtype}"
+        )
     if trajectories.ndim != 2 or trajectories.shape[1] != history.horizon + 1:
         raise ValueError(
             "trajectories must be (n_paths, T+1) with the history's horizon"

@@ -9,9 +9,10 @@ column, not from the model's density, so their entries differ
 from the density's in the last bits and the lgm ``matrices`` digest
 pins that build.  A draw is an inverse-CDF lookup, so a refactor that
 only rounds the CDF differently (the rank-2 rows, or the row draw's
-search of chunk sums and then one chunk's cumsum, not the normalized
-row's cumsum) keeps the trajectories unless a uniform falls within
-rounding of a CDF step, which at these sizes does not happen.  The deterministic smoothers' values are pinned to 1e-12
+search of chunk masses summed by BLAS and then of one chunk's cumsum,
+not the normalized row's cumsum) keeps the trajectories unless a
+uniform falls within rounding of a CDF step, which at these sizes does
+not happen.  The deterministic smoothers' values are pinned to 1e-12
 relative instead, because a mat-vec may legitimately change its
 summation order.
 

@@ -78,7 +78,7 @@ def test_backward_row_index_validation():
 
 def anchor_bins(kernel, targets=None):
     """The number of anchor bins a kernel's blocks fall into."""
-    return len({id(column) for _, _, column, _, _ in kernel._blocks(targets)})
+    return len({id(column) for _, _, column, *_ in kernel._blocks(targets)})
 
 
 @pytest.mark.parametrize(
@@ -115,6 +115,11 @@ def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows
 
     matrix = kernel.rows()
     assert np.array_equal(matrix, single_block)
+    # a draw rebuilds a row's entries from its value and shift with the
+    # bits of its block
+    for values, rows, _, _, _, shifts in kernel._blocks(None):
+        sources = np.repeat(np.arange(20)[:, None], len(rows), axis=1)
+        assert np.array_equal(kernel._entries(values, shifts, sources).T, rows)
     assert np.array_equal(matrix, sc.backward_matrix(history, model, t))
     assert np.allclose(matrix, backward_transition(history, model, t), atol=1e-12)
 
@@ -138,48 +143,73 @@ def test_blocked_kernel_operations_match_the_full_matrix(monkeypatch, block_rows
     )
 
 
-# a narrow first chunk, wide enough that its sum and its cumsum may
+# a narrow first chunk, wide enough that its mass and its cumsum may
 # round differently, and three full chunks
-NARROW = 21
+NARROW = 2 * smoothing._CHUNK // 3
 N_DRAW = NARROW + 3 * smoothing._CHUNK
 N_ROWS = 40
 
 
-def draw_kernel(support):
+def draw_kernel(monkeypatch, case, block_rows):
     """A kernel over sources 0..N_DRAW-1 whose positive mass lies on the
-    sources in ``support``, less every 7th, which has log weight -inf."""
+    case's support, less every 7th source, which has log weight -inf.
+    With ``block_rows``, its blocks hold that many rows."""
+    support, sd = DRAW_CASES[case]
     rng = sc.make_rng(131)
     positions = np.arange(N_DRAW, dtype=float)
     log_weights = np.full(N_DRAW, -np.inf)
     log_weights[support] = rng.normal(size=N_DRAW)[support]
     log_weights[::7] = -np.inf
-    model = sc.make_lgm(0.5, 30.0, 1.0, [0.0])
+    if case == "binned":
+        # a far source of zero weight raises the largest slope, so the
+        # targets fall into several anchor bins, while each row stays flat
+        # enough that its smallest positive entry still moves its cumsum
+        positions[-1] = 3000.0
+        log_weights[-1] = -np.inf
+    model = sc.make_lgm(0.5, sd, 1.0, [0.0])
     next_positions = np.linspace(0.0, 0.5 * N_DRAW, N_ROWS)
-    return smoothing.BackwardKernel(model, 0, positions, log_weights, next_positions)
+    if block_rows is not None:
+        monkeypatch.setattr(smoothing, "_BLOCK_BYTES", 8 * N_DRAW * block_rows)
+    kernel = smoothing.BackwardKernel(model, 0, positions, log_weights, next_positions)
+    assert kernel.block == block_rows or (block_rows is None and kernel.block >= N_ROWS)
+    assert (anchor_bins(kernel) >= 3) == (case == "binned")
+    return kernel
 
 
-DRAW_SUPPORTS = {
-    "all chunks": slice(3, None),
-    "narrow chunk": slice(0, NARROW),
-    "one chunk": slice(NARROW, NARROW + smoothing._CHUNK),
+# (support, transition sd): in the binned case the 40 targets fall into
+# 5 anchor bins, so the draws of one step read several columns
+DRAW_CASES = {
+    "all chunks": (slice(3, None), 30.0),
+    "narrow chunk": (slice(0, NARROW), 30.0),
+    "one chunk": (slice(NARROW, NARROW + smoothing._CHUNK), 30.0),
+    "binned": (slice(3, None), 6.0),
 }
+# each case in one block, or in blocks of 7 rows: a step's draws then
+# span 6 blocks
+DRAW_KERNELS = [
+    pytest.param(case, rows, id=case if rows is None else f"{case}-blocks of {rows}")
+    for case in sorted(DRAW_CASES)
+    for rows in (None, 7)
+]
 
 
-@pytest.mark.parametrize("support", sorted(DRAW_SUPPORTS))
-def test_kernel_draws_follow_the_backward_rows(support):
-    kernel = draw_kernel(DRAW_SUPPORTS[support])
+@pytest.mark.parametrize("case, block_rows", DRAW_KERNELS)
+def test_kernel_draws_follow_the_backward_rows(monkeypatch, case, block_rows):
+    kernel = draw_kernel(monkeypatch, case, block_rows)
     matrix = kernel.rows()
     per_row = 5000
     targets = np.repeat(np.arange(N_ROWS), per_row)
     uniforms = sc.make_rng(132).random(targets.size)
     # with 5000 draws per row the kernel searches each row's full cumsum;
-    # with 25 per row, under _CHUNK, it takes the two-level lookup
+    # with `few` per row, under _CHUNK, it searches chunk masses and then
+    # one chunk
     draws = kernel.draw(targets, uniforms)
-    few = np.empty_like(draws)
-    for lo in range(0, per_row, 25):
-        part = (np.arange(N_ROWS)[:, None] * per_row + np.arange(lo, lo + 25)).ravel()
-        few[part] = kernel.draw(targets[part], uniforms[part])
-    assert np.array_equal(draws, few)
+    few = smoothing._CHUNK // 2
+    chunked = np.empty_like(draws)
+    for lo in range(0, per_row, few):
+        part = (np.arange(N_ROWS)[:, None] * per_row + np.arange(lo, lo + few)).ravel()
+        chunked[part] = kernel.draw(targets[part], uniforms[part])
+    assert np.array_equal(draws, chunked)
     statistic, cells = 0.0, 0
     for i in range(N_ROWS):
         counts = np.bincount(draws[targets == i], minlength=N_DRAW)
@@ -195,10 +225,14 @@ def test_kernel_draws_follow_the_backward_rows(support):
     assert stats.chi2.sf(statistic, cells) > 1e-3
 
 
-@pytest.mark.parametrize("per_row", [1, 2 * smoothing._CHUNK])
-@pytest.mark.parametrize("support", sorted(DRAW_SUPPORTS))
-def test_kernel_draw_ends_land_on_the_outer_sources_of_positive_mass(support, per_row):
-    kernel = draw_kernel(DRAW_SUPPORTS[support])
+# 64 draws per row, over _CHUNK, take the full-row search
+@pytest.mark.parametrize("per_row", [1, 64])
+@pytest.mark.parametrize("case, block_rows", DRAW_KERNELS)
+def test_kernel_draw_ends_land_on_the_outer_sources_of_positive_mass(
+    monkeypatch, case, block_rows, per_row
+):
+    assert 1 < smoothing._CHUNK < 64
+    kernel = draw_kernel(monkeypatch, case, block_rows)
     positive = kernel.rows() > 0.0
     first = np.argmax(positive, axis=1)
     last = N_DRAW - 1 - np.argmax(positive[:, ::-1], axis=1)
@@ -212,8 +246,23 @@ def test_kernel_draw_ends_land_on_the_outer_sources_of_positive_mass(support, pe
     )
 
 
-def test_gaussian_rows_give_sources_of_zero_weight_an_exact_zero():
-    kernel = draw_kernel(DRAW_SUPPORTS["all chunks"])
+def test_draws_in_parts_match_one_search(monkeypatch):
+    # a search budget of a few draws splits one step's targets into parts
+    kernel = draw_kernel(monkeypatch, "binned", 7)
+    rng = sc.make_rng(133)
+    targets = rng.integers(0, N_ROWS, size=300)
+    uniforms = rng.random(300)
+    whole = kernel.draw(targets, uniforms)
+    chunks = -(-N_DRAW // smoothing._CHUNK)
+    monkeypatch.setattr(smoothing, "_SEARCH_BYTES", 16 * (chunks + 1) * 37)
+    assert np.array_equal(kernel.draw(targets, uniforms), whole)
+    assert np.array_equal(
+        whole, categorical_rows(kernel.rows(), uniforms, targets)
+    )
+
+
+def test_gaussian_rows_give_sources_of_zero_weight_an_exact_zero(monkeypatch):
+    kernel = draw_kernel(monkeypatch, "all chunks", None)
     assert kernel.model.gaussian_transition is not None
     dead = np.isneginf(kernel.log_weights)
     matrix = kernel.rows()
@@ -717,6 +766,9 @@ def test_ffbsi_estimate_validation():
     bad[0, 0] = 3
     with pytest.raises(ValueError):
         sc.ffbsi_estimate(bad, history, functional)
+    # whole numbers in a float array are still not indices
+    with pytest.raises(ValueError, match="float64"):
+        sc.ffbsi_estimate(np.zeros((4, 3)), history, functional)
 
 
 def test_rmse_scaling_halves_with_quadruple_particles():
