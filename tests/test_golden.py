@@ -172,6 +172,75 @@ def test_bench_size_draws_are_bit_identical():
     assert observed == BENCH_DIGESTS
 
 
+# simulate_lgm and simulate_svm at fixed seeds, T=200: x then y of each
+SIMULATED_AR1_DIGESTS = {
+    "lgm": (
+        "0632d785670aca537f98a961e3ec428a289686f87b2058661ac582ac6356da95"
+        "47bdb8e22c34b37041597dcea07d1c993bdaeaa28b2e06ec1ab6a9d60809158c"
+    ),
+    "svm": (
+        "53fb414f7a6dbd8c072ea820228500961b61b96ba7e7d6627eea194ee4653be7"
+        "fb977da8c7af16f78d84cad801e80c91915ec1667a93e76af1e9ab10f7420e1d"
+    ),
+}
+
+FAMILY_PARAMS = {
+    "lgm": {"phi": 0.9, "sigma_u": 0.6, "sigma_v": 1.0},
+    "svm": {"phi": 0.95, "sigma": 0.3, "beta": 0.6},
+    "finite": {"transition": CHAIN, "observation_matrix": CHAIN, "initial": [0.25] * 4},
+}
+
+# generate_grid_observations at T=50 for a grid of each family: the
+# observations of lgm and svm, the emission rows of finite
+GRID_PAYLOAD_DIGESTS = {
+    "lgm": "6c44edfb2af436a0bffa3d28ae05dfb75da27a6fea5e8dac1fe4e8343a5e01a4",
+    "svm": "a0d24299d52a72e0ca98fa1283a277c036ec569a3c1511a92d328fd80b1c830a",
+    "finite": "95f7aff14be502b4adc87c610457bf70530303abc18d703e5283a183d87e3c69",
+}
+
+# the zero-timings variance table of family_grid("svm")
+SVM_TABLE_DIGEST = "75a36c292cb777a6c361184e39b650fd39417565c6bc925bf60ffa4653e5bba7"
+
+
+def family_grid(family):
+    return sc.grid_from_mapping(
+        {
+            "model": {"type": family, "params": FAMILY_PARAMS[family]},
+            "methods": list(sc.METHOD_NAMES),
+            "T": [6],
+            "N": [30],
+            "replicates": 2,
+            "seed": 2034,
+            "functional": {"r": 0, "kind": "state_sum"},
+        }
+    )
+
+
+def test_simulated_ar1_paths_are_bit_identical():
+    observed = {
+        "lgm": sc.simulate_lgm(0.9, 0.6, 1.0, 200, sc.make_rng(2032)),
+        "svm": sc.simulate_svm(0.95, 0.3, 0.6, 200, sc.make_rng(2033)),
+    }
+    assert {
+        name: digest(x) + digest(y) for name, (x, y) in observed.items()
+    } == SIMULATED_AR1_DIGESTS
+
+
+def test_grid_payloads_are_bit_identical():
+    assert {
+        family: digest(sc.generate_grid_observations(family_grid(family), 50))
+        for family in FAMILY_PARAMS
+    } == GRID_PAYLOAD_DIGESTS
+
+
+def test_svm_grid_runs_end_to_end():
+    table = sc.run_grid(family_grid("svm"), workers=1)
+    assert not table.has_failures
+    assert [row.method for row in table.rows] == list(sc.METHOD_NAMES)
+    text = table.to_csv(zero_timings=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SVM_TABLE_DIGEST
+
+
 def test_simulated_finite_chain_is_bit_identical():
     states, symbols = sc.simulate_finite_hmm(
         CHAIN, CHAIN, [0.25] * 4, 200, sc.make_rng(2028)
