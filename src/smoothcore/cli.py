@@ -22,25 +22,21 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import ConfigError
 from .experiments import (
-    _build_model,
-    _check_functional_spec,
+    check_functional_spec,
     estimate_once,
     fit_bound_scale,
     load_config,
+    read_json,
     run_grid,
     scaling_regression,
     VarianceTable,
 )
 from .models import (
+    FAMILIES,
     make_finite_hmm,
-    make_lgm,
     read_observations_csv,
-    simulate_lgm,
-    simulate_svm,
     state_sum_functional,
     text_file,
     write_observations_csv,
@@ -67,52 +63,40 @@ def _write_text(text: str, out: str | None) -> None:
         handle.write(text)
 
 
-def _continuous_params(args) -> dict:
-    if args.model == "lgm":
-        missing = [
-            name
-            for name, value in (
-                ("--phi", args.phi),
-                ("--sigma-u", args.sigma_u),
-                ("--sigma-v", args.sigma_v),
-            )
-            if value is None
-        ]
-        if missing:
-            raise ConfigError(f"lgm needs {' '.join(missing)}")
-        return {"phi": args.phi, "sigma_u": args.sigma_u, "sigma_v": args.sigma_v}
-    missing = [
-        name
-        for name, value in (
-            ("--phi", args.phi),
-            ("--sigma", args.sigma),
-            ("--beta", args.beta),
-        )
-        if value is None
-    ]
+# the families whose data a t,x_true,y file holds: one float per time
+_DATA_FAMILIES = ("lgm", "svm")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_family_flags(parser, families, required=False) -> None:
+    """One float flag per parameter of the families, each added once."""
+    for name in dict.fromkeys(n for f in families for n in FAMILIES[f].params):
+        parser.add_argument(_flag(name), type=float, required=required)
+
+
+def _continuous_params(args, family: str) -> dict:
+    """The family's parameters, read from their flags."""
+    names = FAMILIES[family].params
+    missing = [_flag(name) for name in names if getattr(args, name) is None]
     if missing:
-        raise ConfigError(f"svm needs {' '.join(missing)}")
-    return {"phi": args.phi, "sigma": args.sigma, "beta": args.beta}
+        raise ConfigError(f"{family} needs {' '.join(missing)}")
+    return {name: getattr(args, name) for name in names}
 
 
 def _cmd_generate(args) -> int:
     rng = make_rng(args.seed)
-    params = _continuous_params(args)
-    if args.model == "lgm":
-        x, y = simulate_lgm(
-            params["phi"], params["sigma_u"], params["sigma_v"], args.horizon, rng
-        )
-    else:
-        x, y = simulate_svm(
-            params["phi"], params["sigma"], params["beta"], args.horizon, rng
-        )
+    params = _continuous_params(args, args.model)
+    x, y = FAMILIES[args.model].simulate(params, args.horizon, rng)
     write_observations_csv(_output(args.out), x, y)
     return 0
 
 
 def _cmd_smooth(args) -> int:
     _, y = read_observations_csv(args.data)
-    model = _build_model(args.model, _continuous_params(args), y)
+    model = FAMILIES[args.model].build(_continuous_params(args, args.model), y)
     horizon = y.size - 1
     functional = state_sum_functional(horizon)
     value, wall = estimate_once(model, functional, args.method, args.n, args.seed)
@@ -174,13 +158,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _load_oracle_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(raw) - {"transition", "emissions", "initial", "functional"}
@@ -190,14 +168,14 @@ def _load_oracle_config(path: str) -> dict:
         if key not in raw:
             raise ConfigError("required key missing", field=key)
     if "functional" in raw:
-        _check_functional_spec(raw["functional"])
+        check_functional_spec(raw["functional"])
     return raw
 
 
 def _cmd_oracle(args) -> int:
     if args.oracle == "kalman":
         _, y = read_observations_csv(args.data)
-        result = kalman_smooth(args.phi, args.sigma_u, args.sigma_v, y)
+        result = kalman_smooth(**_continuous_params(args, "lgm"), observations=y)
         if args.sum:
             _write_text(format_float(result.smoothed_state_sum) + "\n", args.out)
             return 0
@@ -223,13 +201,12 @@ def _cmd_oracle(args) -> int:
     else:
         if args.data is None:
             raise ConfigError("gamma needs --config or lgm flags with --data")
-        if args.phi is None or args.sigma_u is None or args.sigma_v is None:
-            raise ConfigError("gamma on an lgm needs --phi --sigma-u --sigma-v")
+        params = _continuous_params(args, "lgm")
         _, y = read_observations_csv(args.data)
-        model = make_lgm(args.phi, args.sigma_u, args.sigma_v, y)
+        model = FAMILIES["lgm"].build(params, y)
         grid = quadrature_grid(
             0.0,
-            args.sigma_u / np.sqrt(1.0 - args.phi * args.phi),
+            model.gaussian_transition.stationary_sd,
             half_width_scales=args.grid_width,
             panels=args.grid_panels,
         )
@@ -248,12 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="simulate a model to CSV")
-    gen.add_argument("--model", choices=("lgm", "svm"), required=True)
-    gen.add_argument("--phi", type=float)
-    gen.add_argument("--sigma-u", type=float, dest="sigma_u")
-    gen.add_argument("--sigma-v", type=float, dest="sigma_v")
-    gen.add_argument("--sigma", type=float)
-    gen.add_argument("--beta", type=float)
+    gen.add_argument("--model", choices=_DATA_FAMILIES, required=True)
+    _add_family_flags(gen, _DATA_FAMILIES)
     gen.add_argument("--horizon", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out")
@@ -261,12 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     smooth = sub.add_parser("smooth", help="one smoothed estimate from a data file")
     smooth.add_argument("--data", required=True)
-    smooth.add_argument("--model", choices=("lgm", "svm"), required=True)
-    smooth.add_argument("--phi", type=float)
-    smooth.add_argument("--sigma-u", type=float, dest="sigma_u")
-    smooth.add_argument("--sigma-v", type=float, dest="sigma_v")
-    smooth.add_argument("--sigma", type=float)
-    smooth.add_argument("--beta", type=float)
+    smooth.add_argument("--model", choices=_DATA_FAMILIES, required=True)
+    _add_family_flags(smooth, _DATA_FAMILIES)
     smooth.add_argument("--method", choices=METHOD_NAMES, required=True)
     smooth.add_argument("--n", type=int, required=True)
     smooth.add_argument("--seed", type=int, required=True)
@@ -277,11 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a replication grid")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", help="override the config's output path")
-    exp.add_argument(
-        "--workers",
-        type=int,
-        help="worker processes; beats SMOOTHCORE_THREADS; default 1",
-    )
+    exp.add_argument("--workers", type=int, default=1, help="worker processes")
     exp.add_argument("--zero-timings", action="store_true")
     exp.set_defaults(func=_cmd_experiment)
 
@@ -299,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc_sub = orc.add_subparsers(dest="oracle", required=True)
 
     kal = orc_sub.add_parser("kalman", help="exact posterior moments for the lgm")
-    kal.add_argument("--phi", type=float, required=True)
-    kal.add_argument("--sigma-u", type=float, dest="sigma_u", required=True)
-    kal.add_argument("--sigma-v", type=float, dest="sigma_v", required=True)
+    _add_family_flags(kal, ("lgm",), required=True)
     kal.add_argument("--data", required=True)
     kal.add_argument("--sum", action="store_true",
                      help="print only the summed smoothed means")
@@ -317,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gamma", help="closed-form asymptotic variance of the path-space estimator"
     )
     gam.add_argument("--config", help="finite independent-kernel model JSON")
-    gam.add_argument("--phi", type=float)
-    gam.add_argument("--sigma-u", type=float, dest="sigma_u")
-    gam.add_argument("--sigma-v", type=float, dest="sigma_v")
+    _add_family_flags(gam, ("lgm",))
     gam.add_argument("--data")
     gam.add_argument("--grid-width", type=float, default=10.0, dest="grid_width")
     gam.add_argument("--grid-panels", type=int, default=10_000, dest="grid_panels")

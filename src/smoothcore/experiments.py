@@ -24,7 +24,6 @@ import csv
 import io
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -33,17 +32,11 @@ import numpy as np
 from .errors import ConfigError, UnsupportedModelError
 from .filtering import run_filter
 from .models import (
+    FAMILIES,
     AdditiveFunctional,
     StateSpaceModel,
     bootstrap_proposal,
-    emissions_from_symbols,
     format_float,
-    make_finite_hmm,
-    make_lgm,
-    make_svm,
-    simulate_finite_hmm,
-    simulate_lgm,
-    simulate_svm,
     state_sum_functional,
     text_file,
 )
@@ -74,14 +67,6 @@ METHOD_IDS = {
 
 DATA_STREAM_LABEL = 0xDA7A
 
-MODEL_TYPES = ("lgm", "svm", "finite")
-
-_MODEL_PARAM_KEYS = {
-    "lgm": {"phi", "sigma_u", "sigma_v"},
-    "svm": {"phi", "sigma", "beta"},
-    "finite": {"transition", "observation_matrix", "initial"},
-}
-
 TABLE_CSV_HEADER = "method,T,N,r,variance,mean,mean_wall_seconds,replicates"
 
 
@@ -99,16 +84,18 @@ class ExperimentGrid:
     out: str | None = None
 
     def __post_init__(self):
-        if self.model_type not in MODEL_TYPES:
+        if self.model_type not in FAMILIES:
             raise ValueError(
-                f"model type must be one of {MODEL_TYPES}, got {self.model_type!r}"
+                f"model type must be one of {tuple(FAMILIES)}, "
+                f"got {self.model_type!r}"
             )
-        unknown = set(self.model_params) - _MODEL_PARAM_KEYS[self.model_type]
+        names = set(FAMILIES[self.model_type].params)
+        unknown = set(self.model_params) - names
         if unknown:
             raise ValueError(
                 f"unknown {self.model_type} parameters: {sorted(unknown)}"
             )
-        missing = _MODEL_PARAM_KEYS[self.model_type] - set(self.model_params)
+        missing = names - set(self.model_params)
         if missing:
             raise ValueError(
                 f"missing {self.model_type} parameters: {sorted(missing)}"
@@ -217,7 +204,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_functional_spec(spec) -> None:
+def check_functional_spec(spec) -> None:
     """Validate a config's ``functional`` object.  The one functional a
     config can name is ``{"r": 0, "kind": "state_sum"}``."""
     _require(isinstance(spec, dict), "must be an object", fieldname="functional")
@@ -285,7 +272,7 @@ def grid_from_mapping(raw: dict) -> ExperimentGrid:
     _require(_is_int(replicates), "must be an integer", fieldname="replicates")
     seed = raw["seed"]
     _require(_is_int(seed), "must be an integer", fieldname="seed")
-    _check_functional_spec(raw["functional"])
+    check_functional_spec(raw["functional"])
 
     out = raw.get("out")
     if out is not None:
@@ -306,17 +293,22 @@ def grid_from_mapping(raw: dict) -> ExperimentGrid:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> ExperimentGrid:
-    """Read and validate a JSON grid config."""
+def read_json(path):
+    """Parse a JSON config file; invalid JSON raises a
+    :class:`ConfigError` that names its line and column."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return grid_from_mapping(raw)
+
+
+def load_config(path) -> ExperimentGrid:
+    """Read and validate a JSON grid config."""
+    return grid_from_mapping(read_json(path))
 
 
 def generate_grid_observations(grid: ExperimentGrid, horizon: int):
@@ -326,25 +318,8 @@ def generate_grid_observations(grid: ExperimentGrid, horizon: int):
     the per-time emission likelihood rows for the finite family.
     """
     rng = make_rng(derive_seed(grid.master_seed, DATA_STREAM_LABEL, horizon))
-    p = grid.model_params
-    if grid.model_type == "lgm":
-        _, y = simulate_lgm(p["phi"], p["sigma_u"], p["sigma_v"], horizon, rng)
-        return y
-    if grid.model_type == "svm":
-        _, y = simulate_svm(p["phi"], p["sigma"], p["beta"], horizon, rng)
-        return y
-    _, symbols = simulate_finite_hmm(
-        p["transition"], p["observation_matrix"], p["initial"], horizon, rng
-    )
-    return emissions_from_symbols(p["observation_matrix"], symbols)
-
-
-def _build_model(model_type: str, params: dict, payload) -> StateSpaceModel:
-    if model_type == "lgm":
-        return make_lgm(params["phi"], params["sigma_u"], params["sigma_v"], payload)
-    if model_type == "svm":
-        return make_svm(params["phi"], params["sigma"], params["beta"], payload)
-    return make_finite_hmm(params["transition"], payload, params["initial"])
+    _, payload = FAMILIES[grid.model_type].simulate(grid.model_params, horizon, rng)
+    return payload
 
 
 def estimate_once(
@@ -389,8 +364,8 @@ def estimate_once(
 
 
 def _run_cell(payload: dict) -> dict:
-    model = _build_model(
-        payload["model_type"], payload["model_params"], payload["observations"]
+    model = FAMILIES[payload["model_type"]].build(
+        payload["model_params"], payload["observations"]
     )
     horizon = payload["horizon"]
     method = payload["method"]
@@ -435,28 +410,7 @@ def _run_cell(payload: dict) -> dict:
     }
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Explicit argument wins; otherwise the SMOOTHCORE_THREADS
-    environment variable; otherwise 1."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return workers
-    env = os.environ.get("SMOOTHCORE_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"SMOOTHCORE_THREADS must be an integer, got {env!r}"
-            ) from exc
-        if value < 1:
-            raise ValueError(f"SMOOTHCORE_THREADS must be >= 1, got {value}")
-        return value
-    return 1
-
-
-def run_grid(grid: ExperimentGrid, workers: int | None = None) -> VarianceTable:
+def run_grid(grid: ExperimentGrid, workers: int = 1) -> VarianceTable:
     """Run every (method, horizon, N) cell of the grid.
 
     Cells are independent tasks; rows come back in config order and
@@ -464,9 +418,11 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None) -> VarianceTable:
     replicate's generator is keyed, never shared.  A replicate failure
     flags its row (variance and mean become NaN, and the error counts
     the failed replicates and quotes the first); every other replicate
-    and the rest of the grid still run.
+    and the rest of the grid still run.  ``workers`` processes run the
+    cells; it must be at least 1.
     """
-    worker_count = resolve_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     observations = {
         horizon: generate_grid_observations(grid, horizon)
         for horizon in grid.horizons
@@ -486,16 +442,14 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None) -> VarianceTable:
         for horizon in grid.horizons
         for n_particles in grid.particle_counts
     ]
-    if worker_count == 1 or len(payloads) == 1:
+    if workers == 1 or len(payloads) == 1:
         results = [_run_cell(p) for p in payloads]
     else:
-        # Imported on the first multi-worker grid only: with the
-        # multiprocessing modules it brings, it cost about 20-30 ms and
-        # 2 MB of RSS on every `import smoothcore`, which a one-worker
-        # run does not need.  Forked workers inherit it.
+        # imported here so that `import smoothcore` and one-worker runs
+        # do not load the multiprocessing modules
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, payloads))
     return VarianceTable(rows=[VarianceRow(**r) for r in results])
 

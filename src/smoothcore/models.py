@@ -3,7 +3,8 @@
 A state-space model here is a bundle of vectorized callables working in
 log space: an initial law, a transition density and sampler, and
 per-time observation log-likelihoods with the observation sequence
-baked in at construction.  Three families are provided:
+baked in at construction.  Three families are provided, and
+:data:`FAMILIES` names each with its parameters, simulator and builder:
 
 * a linear Gaussian AR(1) model observed in Gaussian noise,
 * a stochastic volatility model (AR(1) log-volatility, scale-mixture
@@ -24,7 +25,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,6 +118,11 @@ class GaussianTransition:
 
     def sample(self, x, rng):
         return rng.normal(self.phi * np.asarray(x, dtype=float), self.sd)
+
+    @property
+    def stationary_sd(self) -> float:
+        """Scale of the stationary law N(0, sd^2 / (1 - phi^2)), |phi| < 1."""
+        return self.sd / math.sqrt(1.0 - self.phi * self.phi)
 
 
 def _gaussian_peak(kernel: GaussianTransition) -> MixingBounds:
@@ -256,6 +262,18 @@ class AdditiveFunctional:
         if self.oscillation is not None and not self.oscillation >= 0.0:
             raise ValueError("oscillation bound must be nonnegative")
 
+    def term_on_grid(self, t: int, axes) -> np.ndarray:
+        """h_t on the (lag+1)-fold grid of ``axes``, one 1-d array of
+        states for each of x_{t-lag}, ..., x_t: each is broadcast along
+        its own axis, so entry (i_0, ..., i_lag) is
+        ``h_t(axes[0][i_0], ..., axes[lag][i_lag])``."""
+        slices = []
+        for a, states in enumerate(axes):
+            shape = [1] * (self.lag + 1)
+            shape[a] = len(states)
+            slices.append(np.reshape(states, shape))
+        return np.asarray(self.term(t, *slices), dtype=float)
+
 
 def state_sum_functional(horizon: int) -> AdditiveFunctional:
     """Sum of the state over time: lag 0, ``h_t(x) = x``.
@@ -264,6 +282,44 @@ def state_sum_functional(horizon: int) -> AdditiveFunctional:
     the latent path, the quantity the benchmark experiments estimate.
     """
     return AdditiveFunctional(lag=0, horizon=horizon, term=lambda t, x: x)
+
+
+def _ar1_model(phi, scales, observations, observe, mixing_bounds):
+    # the Gaussian families: a stationary AR(1) state of noise scale
+    # scales[0], observed through observe(y_t, x); scales holds
+    # (name, value) pairs, each of which must be positive
+    if not abs(phi) < 1.0:
+        raise ValueError(f"|phi| must be < 1 for a stationary state, got {phi}")
+    for name, value in scales:
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    y = np.asarray(observations, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("observations must be a nonempty 1-d sequence")
+    _require_finite("observations", y)
+
+    kernel = GaussianTransition(phi=phi, sd=scales[0][1])
+    initial_sd = kernel.stationary_sd
+
+    def initial_sampler(rng, n):
+        return rng.normal(0.0, initial_sd, size=n)
+
+    def initial_log_density(x):
+        return _normal_logpdf(x, 0.0, initial_sd)
+
+    def observation_log_density(t, x):
+        return observe(y[t], np.asarray(x, dtype=float))
+
+    return StateSpaceModel(
+        initial_sampler=initial_sampler,
+        initial_log_density=initial_log_density,
+        transition_log_density=kernel.log_density,
+        transition_sampler=kernel.sample,
+        observation_log_density=observation_log_density,
+        n_observations=y.size,
+        mixing_bounds=mixing_bounds or _gaussian_peak(kernel),
+        gaussian_transition=kernel,
+    )
 
 
 def make_lgm(
@@ -293,38 +349,13 @@ def make_lgm(
         bound holds on the real line.  Callers restricting the state to
         a compact set may supply their own.
     """
-    if not abs(phi) < 1.0:
-        raise ValueError(f"|phi| must be < 1 for a stationary state, got {phi}")
-    if not sigma_u > 0.0:
-        raise ValueError(f"sigma_u must be positive, got {sigma_u}")
-    if not sigma_v > 0.0:
-        raise ValueError(f"sigma_v must be positive, got {sigma_v}")
-    y = np.asarray(observations, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("observations must be a nonempty 1-d sequence")
-    _require_finite("observations", y)
 
-    initial_sd = sigma_u / math.sqrt(1.0 - phi * phi)
-    kernel = GaussianTransition(phi=phi, sd=sigma_u)
+    def observe(y_t, x):
+        return _normal_logpdf(y_t, x, sigma_v)
 
-    def initial_sampler(rng, n):
-        return rng.normal(0.0, initial_sd, size=n)
-
-    def initial_log_density(x):
-        return _normal_logpdf(x, 0.0, initial_sd)
-
-    def observation_log_density(t, x):
-        return _normal_logpdf(y[t], np.asarray(x, dtype=float), sigma_v)
-
-    return StateSpaceModel(
-        initial_sampler=initial_sampler,
-        initial_log_density=initial_log_density,
-        transition_log_density=kernel.log_density,
-        transition_sampler=kernel.sample,
-        observation_log_density=observation_log_density,
-        n_observations=y.size,
-        mixing_bounds=mixing_bounds or _gaussian_peak(kernel),
-        gaussian_transition=kernel,
+    return _ar1_model(
+        phi, (("sigma_u", sigma_u), ("sigma_v", sigma_v)), observations, observe,
+        mixing_bounds,
     )
 
 
@@ -344,41 +375,13 @@ def make_svm(
     ``mixing_bounds`` defaults to the kernel's exact peak
     ``sigma_plus = 1 / (sigma sqrt(2 pi))``.
     """
-    if not abs(phi) < 1.0:
-        raise ValueError(f"|phi| must be < 1 for a stationary state, got {phi}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    y = np.asarray(observations, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("observations must be a nonempty 1-d sequence")
-    _require_finite("observations", y)
 
-    initial_sd = sigma / math.sqrt(1.0 - phi * phi)
-    log_beta = math.log(beta)
-    kernel = GaussianTransition(phi=phi, sd=sigma)
+    def observe(y_t, x):
+        squared = (y_t / beta) ** 2
+        return -0.5 * (squared * np.exp(-x) + x) - math.log(beta) - 0.5 * _LOG_2PI
 
-    def initial_sampler(rng, n):
-        return rng.normal(0.0, initial_sd, size=n)
-
-    def initial_log_density(x):
-        return _normal_logpdf(x, 0.0, initial_sd)
-
-    def observation_log_density(t, x):
-        x = np.asarray(x, dtype=float)
-        squared = (y[t] / beta) ** 2
-        return -0.5 * (squared * np.exp(-x) + x) - log_beta - 0.5 * _LOG_2PI
-
-    return StateSpaceModel(
-        initial_sampler=initial_sampler,
-        initial_log_density=initial_log_density,
-        transition_log_density=kernel.log_density,
-        transition_sampler=kernel.sample,
-        observation_log_density=observation_log_density,
-        n_observations=y.size,
-        mixing_bounds=mixing_bounds or _gaussian_peak(kernel),
-        gaussian_transition=kernel,
+    return _ar1_model(
+        phi, (("sigma", sigma), ("beta", beta)), observations, observe, mixing_bounds
     )
 
 
@@ -564,6 +567,20 @@ def bootstrap_proposal(model: StateSpaceModel) -> AuxiliaryProposal:
     )
 
 
+def _simulate_ar1(phi, sd, horizon, rng, observe):
+    # every state draw first, then every observation draw: y = observe(x,
+    # one standard normal per time)
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if not abs(phi) < 1.0:
+        raise ValueError(f"|phi| must be < 1, got {phi}")
+    x = np.empty(horizon + 1)
+    x[0] = rng.normal(0.0, GaussianTransition(phi=phi, sd=sd).stationary_sd)
+    for t in range(horizon):
+        x[t + 1] = phi * x[t] + sd * rng.normal()
+    return x, observe(x, rng.normal(size=horizon + 1))
+
+
 def simulate_lgm(phi, sigma_u, sigma_v, horizon, rng):
     """Draw a latent path and observations from the linear Gaussian model.
 
@@ -571,16 +588,7 @@ def simulate_lgm(phi, sigma_u, sigma_v, horizon, rng):
     noise) so the output is reproducible from the generator seed alone.
     Returns ``(x, y)`` arrays of length ``horizon + 1``.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if not abs(phi) < 1.0:
-        raise ValueError(f"|phi| must be < 1, got {phi}")
-    x = np.empty(horizon + 1)
-    x[0] = rng.normal(0.0, sigma_u / math.sqrt(1.0 - phi * phi))
-    for t in range(horizon):
-        x[t + 1] = phi * x[t] + sigma_u * rng.normal()
-    y = x + sigma_v * rng.normal(size=horizon + 1)
-    return x, y
+    return _simulate_ar1(phi, sigma_u, horizon, rng, lambda x, v: x + sigma_v * v)
 
 
 def simulate_svm(phi, sigma, beta, horizon, rng):
@@ -588,16 +596,9 @@ def simulate_svm(phi, sigma, beta, horizon, rng):
 
     Same draw order convention as :func:`simulate_lgm`.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if not abs(phi) < 1.0:
-        raise ValueError(f"|phi| must be < 1, got {phi}")
-    x = np.empty(horizon + 1)
-    x[0] = rng.normal(0.0, sigma / math.sqrt(1.0 - phi * phi))
-    for t in range(horizon):
-        x[t + 1] = phi * x[t] + sigma * rng.normal()
-    y = beta * np.exp(x / 2.0) * rng.normal(size=horizon + 1)
-    return x, y
+    return _simulate_ar1(
+        phi, sigma, horizon, rng, lambda x, v: beta * np.exp(x / 2.0) * v
+    )
 
 
 def simulate_finite_hmm(transition_matrix, observation_matrix, initial, horizon, rng):
@@ -632,6 +633,48 @@ def emissions_from_symbols(observation_matrix, symbols) -> np.ndarray:
     B = np.asarray(observation_matrix, dtype=float)
     idx = np.asarray(symbols, dtype=np.int64)
     return B[:, idx].T.copy()
+
+
+class Family(NamedTuple):
+    """What grids and the command line know of a model family.
+
+    ``params`` names its parameters.  ``simulate(params, horizon, rng)``
+    returns ``(latent, payload)``, where the payload is what
+    ``build(params, payload)`` bakes into a :class:`StateSpaceModel`: the
+    observations, or a finite chain's emission rows.
+    """
+
+    params: tuple[str, ...]
+    simulate: Callable[[dict, int, np.random.Generator], tuple]
+    build: Callable[[dict, object], StateSpaceModel]
+
+
+def _simulate_finite(p, horizon, rng):
+    states, symbols = simulate_finite_hmm(
+        p["transition"], p["observation_matrix"], p["initial"], horizon, rng
+    )
+    return states, emissions_from_symbols(p["observation_matrix"], symbols)
+
+
+# the Gaussian families' parameters are named as make_* and simulate_*
+# name their arguments
+FAMILIES = {
+    "lgm": Family(
+        ("phi", "sigma_u", "sigma_v"),
+        lambda p, horizon, rng: simulate_lgm(**p, horizon=horizon, rng=rng),
+        lambda p, y: make_lgm(**p, observations=y),
+    ),
+    "svm": Family(
+        ("phi", "sigma", "beta"),
+        lambda p, horizon, rng: simulate_svm(**p, horizon=horizon, rng=rng),
+        lambda p, y: make_svm(**p, observations=y),
+    ),
+    "finite": Family(
+        ("transition", "observation_matrix", "initial"),
+        _simulate_finite,
+        lambda p, emissions: make_finite_hmm(p["transition"], emissions, p["initial"]),
+    ),
+}
 
 
 def format_float(value: float) -> str:

@@ -152,7 +152,7 @@ def write_kalman_csv(result: KalmanResult, file) -> None:
             )
 
 
-def _require_finite(model: StateSpaceModel):
+def _finite_data(model: StateSpaceModel):
     if model.finite is None:
         raise UnsupportedModelError(
             "this oracle needs a finite-state model with raw matrices attached"
@@ -168,7 +168,7 @@ def exact_hmm_filter(model: StateSpaceModel, horizon: int):
     likelihood factor at step t; their log sum is the data
     log-likelihood.
     """
-    data = _require_finite(model)
+    data = _finite_data(model)
     if not 0 <= horizon < data.emissions.shape[0]:
         raise ValueError(
             f"horizon must be in 0..{data.emissions.shape[0] - 1}, got {horizon}"
@@ -203,7 +203,7 @@ def _hmm_backward(data, horizon: int, normalizers: np.ndarray) -> np.ndarray:
 
 def exact_hmm_smoothed_marginals(model: StateSpaceModel, horizon: int) -> np.ndarray:
     """Exact per-step smoothed state distributions, shape (horizon+1, K)."""
-    data = _require_finite(model)
+    data = _finite_data(model)
     filtered, normalizers = exact_hmm_filter(model, horizon)
     backward = _hmm_backward(data, horizon, normalizers)
     marginals = filtered * backward
@@ -219,13 +219,13 @@ def exact_hmm_smooth(
     consecutive states, built from the scaled forward and backward
     variables; cost is O(T K^{lag+1}) plus the recursions.
     """
-    data = _require_finite(model)
+    data = _finite_data(model)
     horizon = functional.horizon
     r = functional.lag
     filtered, normalizers = exact_hmm_filter(model, horizon)
     backward = _hmm_backward(data, horizon, normalizers)
     K = data.n_states
-    states = np.arange(K)
+    axes = [np.arange(K)] * (r + 1)
 
     total = 0.0
     for t in range(r, horizon + 1):
@@ -241,13 +241,7 @@ def exact_hmm_smooth(
                 (1,) * (u - 1) + (K, K)
             )
         block = block * backward[t].reshape((1,) * r + (K,))
-        grid_args = []
-        for a in range(r + 1):
-            shape = [1] * (r + 1)
-            shape[a] = K
-            grid_args.append(states.reshape(shape))
-        values = np.asarray(functional.term(t, *grid_args), dtype=float)
-        total += float(np.sum(block * values))
+        total += float(np.sum(block * functional.term_on_grid(t, axes)))
     return total
 
 
@@ -331,9 +325,8 @@ def path_space_asymptotic_variance(
         kernel = np.exp(probe_a)
         initial = np.exp(np.asarray(model.initial_log_density(grid), dtype=float))
         support = grid
-        # Imported here, not at module level: scipy.integrate took about
-        # 1.0 s of a 1.25 s `import smoothcore` and about 50 MB of RSS,
-        # and nothing else in the package uses scipy.
+        # imported here, the one use of scipy, so that `import smoothcore`
+        # does not load scipy.integrate
         from scipy.integrate import simpson
 
         def integrate_kernel(values):

@@ -127,18 +127,14 @@ class RejectionStats:
 
 
 # Bytes of float64 in one block of backward rows, about 64 rows at
-# N = 1000: a block's log-kernel, exp and row sums stay in cache while
-# it is consumed.  Blocks of 16 rows, and one block of all N rows, both
-# measured slower on the benchmark cell.
+# N = 1000, so that a block's log-kernel, exp and row sums stay in cache
+# while it is consumed.
 _BLOCK_BYTES = 512 * 1024
 # Columns per chunk in a row draw.  A draw picks its chunk from the
 # prefix sums of its row's N / _CHUNK chunk masses and its index from a
 # cumsum over _CHUNK entries of that chunk, rebuilt for the draw, so the
 # chunk masses cost per row and chunk and the rebuild per draw and
-# column.  On lgm at T = 300, ffbsi_sample_paths (min of 21 alternating
-# runs, 2-vCPU VM) took 0.612 s with 16 columns at N = 1000 against
-# 0.620 s with 32, and 0.116 s against 0.124 s at N = 300; 64 columns
-# took 0.65-0.69 s and 0.14 s in shorter sweeps.
+# column; 16 balanced the two best of the widths measured.
 _CHUNK = 16
 # Bytes of the prefix sums one row draw holds for its search, one copy
 # per distinct row and one per draw: (N / _CHUNK + 1) floats each, about
@@ -287,9 +283,8 @@ class BackwardKernel:
                 if deltas is not None:
                     # one product per entry, not a matrix product: BLAS
                     # takes a 1-row block through another routine, so a
-                    # row's bits would depend on its block.  einsum's
-                    # outer product took half the time of np.multiply.outer
-                    # on 65 x 1000.  Within a bin every entry lies in
+                    # row's bits would depend on its block.  einsum is the
+                    # faster outer product.  Within a bin every entry lies in
                     # [-_LOG_SPAN / 2, _LOG_SPAN / 2], so no row max is needed.
                     shifts = deltas[start - lo : stop - lo]
                     np.einsum("i,j->ij", shifts, slope, out=rows)
@@ -373,8 +368,8 @@ class BackwardKernel:
             if pair is None:
                 if paired is not column:
                     # one (N, 2) operand per bin: each row's mass and its
-                    # weighted sum of s come from one product, which took
-                    # half the time of two mat-vecs on 65 x 1000
+                    # weighted sum of s come from one product, faster
+                    # than two mat-vecs
                     paired = column
                     both = np.empty((2, column.size))
                     both[0] = column
@@ -453,8 +448,7 @@ class BackwardKernel:
             lo, filled = filled, filled + which.size
             # the full chunks as a (chunks, rows, width) view against the
             # column's (chunks, width, 1) view: one batched BLAS product,
-            # which took 27 us on 65 x 1000 against 159 us for the column
-            # product and np.add.reduceat
+            # faster than the column product and np.add.reduceat
             np.matmul(rows[:, :head], column[:head], out=cdf[1, first:n_rows])
             np.matmul(
                 rows[:, head:].reshape(len(rows), n_chunks - 1, width).transpose(1, 0, 2),
@@ -472,8 +466,8 @@ class BackwardKernel:
         if not filled:
             return drawn
         # np.cumsum down axis 0 runs one short loop per column; a Python
-        # loop adding whole rows was faster on 33 x 1000 (84 against
-        # 133 us) but added about 25 us to a draw of 5 targets
+        # loop adding whole rows is faster on many rows but slower on a
+        # draw of a few targets
         cdf = cdf[:, :n_rows]
         np.cumsum(cdf, axis=0, out=cdf)
         members, row_of = members[:filled], row_of[:filled]
@@ -561,21 +555,6 @@ def _check_functional(history: ParticleHistory, functional: AdditiveFunctional):
         )
 
 
-def _term_on_grid(
-    functional: AdditiveFunctional, t: int, positions: np.ndarray
-) -> np.ndarray:
-    # evaluate h_t on the (r+1)-fold particle grid by broadcasting each
-    # time slice along its own axis
-    r = functional.lag
-    n = positions.shape[1]
-    slices = []
-    for a in range(r + 1):
-        shape = [1] * (r + 1)
-        shape[a] = n
-        slices.append(positions[t - r + a].reshape(shape))
-    return np.asarray(functional.term(t, *slices), dtype=float)
-
-
 def _ffbs_backward(
     history: ParticleHistory,
     model: StateSpaceModel,
@@ -595,7 +574,7 @@ def _ffbs_backward(
         for lam in ring:
             # prepend the earlier time axis without contracting anything
             block = np.einsum("ij,i...->ji...", lam, block)
-        grid = _term_on_grid(functional, t, history.positions)
+        grid = functional.term_on_grid(t, history.positions[t - r : t + 1])
         total += float(np.sum(block * grid))
         if t > r:
             if r:

@@ -197,6 +197,10 @@ def test_experiment_outputs_are_worker_invariant(tmp_path, capsys):
     assert out_serial.read_bytes() == out_parallel.read_bytes()
     table = sc.VarianceTable.from_csv(out_serial)
     assert len(table.rows) == 4
+    code, _, err = run_cli(
+        capsys, "experiment", "--config", str(config), "--workers", "0"
+    )
+    assert code == 2 and "workers must be >= 1" in err
 
 
 def test_experiment_honors_the_config_output_path(tmp_path, capsys):

@@ -135,17 +135,10 @@ def test_grid_rows_are_ordered_and_worker_invariant():
     ]
 
 
-def test_environment_variable_sets_worker_count(monkeypatch):
-    monkeypatch.delenv("SMOOTHCORE_THREADS", raising=False)
-    assert sc.resolve_workers(None) == 1
-    monkeypatch.setenv("SMOOTHCORE_THREADS", "4")
-    assert sc.resolve_workers(None) == 4
-    assert sc.resolve_workers(2) == 2
-    monkeypatch.setenv("SMOOTHCORE_THREADS", "zero")
-    with pytest.raises(ValueError):
-        sc.resolve_workers(None)
-    with pytest.raises(ValueError):
-        sc.resolve_workers(0)
+def test_worker_count_below_one_is_refused():
+    grid = sc.grid_from_mapping(lgm_mapping())
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        sc.run_grid(grid, workers=0)
 
 
 def test_failed_replicate_flags_the_row_and_spares_the_rest(monkeypatch):
