@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import smoothcore as sc
+from smoothcore.models import FAMILIES
 
 CHAIN = [[0.7 if i == j else 0.1 for j in range(4)] for i in range(4)]
 GAUSSIAN_PEAK = 1.0 / (0.6 * np.sqrt(2.0 * np.pi))
@@ -202,6 +203,57 @@ GRID_PAYLOAD_DIGESTS = {
 SVM_TABLE_DIGEST = "75a36c292cb777a6c361184e39b650fd39417565c6bc925bf60ffa4653e5bba7"
 
 
+# run_filter with the bootstrap proposal on each family's data simulated
+# at seed 2040, filtered at seed 2041: positions, log weights and
+# ancestors, at the benchmark's particle count and at the warm-ups' N=32
+HISTORY_DIGESTS = {
+    ("lgm", 1000, 50): (
+        "d70fe949262e4ca1c7fa9cbf7bc11f04f4c8034a33611f59e634262596cd6cb4",
+        "37d52e86e2dd7dc0dc446d7a20b98d9263d32d34808dda50aa7de9c75b1c140a",
+        "231d9b2753f5a45d8e76f4224e0d092f22489291dc1bb9f927242a7d40ade21f",
+    ),
+    ("svm", 1000, 50): (
+        "d1fb83f8266cbe53ad613dc6b55f2bc29a524d8e38cab58ade89ca7fc0ea5a17",
+        "21d7d7a92db2a7d2d40ec75414400f200d441be0b0a58d02c314b9509f250670",
+        "f7e418557da7151b0d24c21bbeaed300f4b218fbc62bbf5637918eacf3273a7d",
+    ),
+    ("finite", 1000, 50): (
+        "5ac9649bf3703fbc131e994063fd178ca5b3239ef537b499434110e2224697ad",
+        "b996cd8b5e9aab1c29a3e9799dbe21cc1199b3e2b79a9d47b001e172286057e8",
+        "75943eebb8f6b1d3a5147eb1aec70646934adf39b494f74e6a1754472bff5d21",
+    ),
+    ("lgm", 32, 300): (
+        "44164f6aac0ab3fafbac7b3f57f37dbd6ebe1922f55ab9fea89fda098bde0707",
+        "0c487b201d0f26591c058d67ea041356f2a3aa7b8aa9a523c1105ace82705443",
+        "c60b5b0a65519bf86757a581e69c80739f7e59eaedbb74ddaa54ef4079862820",
+    ),
+    ("svm", 32, 300): (
+        "b489ce0741dd2ef270cf5cf62dcbbe879113f56eef1f976750d612cce416c039",
+        "d53d980ac9342d1823c2243363d2b553f7833194684796af54a60b43f80d3c09",
+        "e7a02312f5e10c8fbd65db5c453c79650cf83f9367cab4ab2b77fb7208d44cb1",
+    ),
+    ("finite", 32, 300): (
+        "094b0a000578ff8c53d4cdc99aae4c84299312894127f752171104951a28160e",
+        "bffee85bfae3d4f0f59186871d28fc830f28f1caed03a4ddb89da6c1d0d61690",
+        "7755511bd5fb158d16da76ed67bf1d1122d149cc27878c4a379fe9b8af305b8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("family, n, horizon", sorted(HISTORY_DIGESTS))
+def test_filter_histories_are_bit_identical(family, n, horizon):
+    params = FAMILY_PARAMS[family]
+    _, payload = FAMILIES[family].simulate(params, horizon, sc.make_rng(2040))
+    model = FAMILIES[family].build(params, payload)
+    history = sc.run_filter(
+        model, sc.bootstrap_proposal(model), n, horizon, sc.make_rng(2041)
+    )
+    observed = tuple(
+        digest(a) for a in (history.positions, history.log_weights, history.ancestors)
+    )
+    assert observed == HISTORY_DIGESTS[family, n, horizon]
+
+
 def family_grid(family):
     return sc.grid_from_mapping(
         {
@@ -267,4 +319,6 @@ def test_path_space_value_is_pinned(problem):
         history.n_particles,
         sc.make_rng(11),
     ).value
-    assert value == pytest.approx(VALUES[name]["path_space"], rel=1e-12)
+    # the genealogy estimate is a filter run and one weighted sum, so its
+    # bits are pinned, not a tolerance
+    assert value == VALUES[name]["path_space"]
