@@ -8,8 +8,14 @@ general importance ratio
 
     transition * likelihood / (adjustment * proposal)
 
-evaluated in log space throughout.  Unnormalized log weights are kept
-per step; linear weights only ever appear after subtracting the
+evaluated in log space throughout.  A proposal may leave two terms as
+None.  A None adjustment means no adjustment: selection reads the
+weights alone.  A None proposal density means the model's own
+transition density, which is then evaluated once and subtracted from
+``transition + likelihood``.  The bootstrap proposal leaves both None,
+so its weights cost one density call and keep the bits the general
+formula gives with a zero adjustment.  Unnormalized log weights are
+kept per step; linear weights only ever appear after subtracting the
 per-step maximum.  Effective sample size is available as a diagnostic
 but never triggers any adaptive behaviour.
 """
@@ -139,10 +145,12 @@ def _filter_steps(
     yield FilterStep(0, positions, log_weights, None)
 
     for t in range(1, horizon + 1):
-        adjustment = np.asarray(
-            proposal.adjustment_log_weight(t, positions), dtype=float
-        )
-        selection_logits = log_weights + adjustment
+        selection_logits = log_weights
+        if proposal.adjustment_log_weight is not None:
+            adjustment = np.asarray(
+                proposal.adjustment_log_weight(t, positions), dtype=float
+            )
+            selection_logits = log_weights + adjustment
         if not np.isfinite(np.max(selection_logits)):
             raise FilterDegeneracyError(t)
         selection_probs = exp_normalize(selection_logits)
@@ -150,14 +158,23 @@ def _filter_steps(
 
         parents = positions[ancestors]
         positions = np.asarray(proposal.proposal_sampler(t, parents, rng))
-        log_weights = (
-            np.asarray(model.transition_log_density(parents, positions), dtype=float)
-            + np.asarray(model.observation_log_density(t, positions), dtype=float)
-            - adjustment[ancestors]
-            - np.asarray(
+        transition = np.asarray(
+            model.transition_log_density(parents, positions), dtype=float
+        )
+        # a None term skips what would subtract exact zeros (the
+        # adjustment) or the density just computed (the proposal); the
+        # left-to-right order keeps the general formula's bits
+        log_weights = transition + np.asarray(
+            model.observation_log_density(t, positions), dtype=float
+        )
+        if proposal.adjustment_log_weight is not None:
+            log_weights -= adjustment[ancestors]
+        if proposal.proposal_log_density is None:
+            log_weights -= transition
+        else:
+            log_weights -= np.asarray(
                 proposal.proposal_log_density(t, parents, positions), dtype=float
             )
-        )
         if not np.isfinite(np.max(log_weights)):
             raise FilterDegeneracyError(t)
         yield FilterStep(t, positions, log_weights, ancestors)

@@ -213,11 +213,14 @@ class AuxiliaryProposal:
 
     Attributes
     ----------
-    adjustment_log_weight : callable (t, x) -> ndarray
+    adjustment_log_weight : callable (t, x) -> ndarray, or None
         Log of the selection adjustment applied to the time t-1 cloud
-        before propagating to time t.
-    proposal_log_density : callable (t, x, x_next) -> ndarray
-        Log density of the propagation kernel at time t.
+        before propagating to time t.  None means no adjustment: the
+        filter selects by the weights alone.
+    proposal_log_density : callable (t, x, x_next) -> ndarray, or None
+        Log density of the propagation kernel at time t.  None means the
+        model's own transition density, which the filter then evaluates
+        once for both terms of the importance ratio.
     proposal_sampler : callable (t, x, rng) -> ndarray
         One propagation draw per entry of x.
     initial_instrumental_log_density : callable (x) -> ndarray
@@ -226,8 +229,8 @@ class AuxiliaryProposal:
         Draw n states from the time-0 instrumental law.
     """
 
-    adjustment_log_weight: Callable[[int, np.ndarray], np.ndarray]
-    proposal_log_density: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+    adjustment_log_weight: Callable[[int, np.ndarray], np.ndarray] | None
+    proposal_log_density: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None
     proposal_sampler: Callable[[int, np.ndarray, np.random.Generator], np.ndarray]
     initial_instrumental_log_density: Callable[[np.ndarray], np.ndarray]
     initial_instrumental_sampler: Callable[[np.random.Generator, int], np.ndarray]
@@ -284,15 +287,20 @@ def state_sum_functional(horizon: int) -> AdditiveFunctional:
     return AdditiveFunctional(lag=0, horizon=horizon, term=lambda t, x: x)
 
 
-def _ar1_model(phi, scales, observations, observe, mixing_bounds):
-    # the Gaussian families: a stationary AR(1) state of noise scale
-    # scales[0], observed through observe(y_t, x); scales holds
-    # (name, value) pairs, each of which must be positive
+def _check_ar1(phi, scales):
+    # the Gaussian families' parameters, as models and simulators take
+    # them: a stationary AR(1) state of noise scale scales[0], and scales
+    # holding (name, value) pairs, each of which must be positive
     if not abs(phi) < 1.0:
         raise ValueError(f"|phi| must be < 1 for a stationary state, got {phi}")
     for name, value in scales:
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _ar1_model(phi, scales, observations, observe, mixing_bounds):
+    # the Gaussian families' model, observed through observe(y_t, x)
+    _check_ar1(phi, scales)
     y = np.asarray(observations, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("observations must be a nonempty 1-d sequence")
@@ -403,9 +411,19 @@ def categorical_indices(
     probabilities: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
     """Inverse-CDF lookup: for each uniform, the first index whose
-    cumulative probability (:func:`categorical_cdf`) strictly exceeds it."""
+    cumulative probability (:func:`categorical_cdf`) strictly exceeds it.
+
+    The uniforms are looked up in ascending order, so each search starts
+    where the last one ended, and the indices are scattered back to the
+    uniforms' own order.  Each index depends on its uniform alone, so
+    the order of the lookups does not change the result.
+    """
     cdf = categorical_cdf(probabilities)
-    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64)
+    uniforms = np.asarray(uniforms, dtype=float)
+    order = np.argsort(uniforms, axis=None)
+    indices = np.empty(uniforms.size, dtype=np.int64)
+    indices[order] = np.searchsorted(cdf, uniforms.ravel()[order], side="right")
+    return indices.reshape(uniforms.shape)
 
 
 def first_above(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -544,36 +562,31 @@ def make_finite_hmm(
 def bootstrap_proposal(model: StateSpaceModel) -> AuxiliaryProposal:
     """Proposal that propagates with the model's own transition kernel.
 
-    The selection adjustment is identically 1 and the time-0
+    The adjustment and the proposal density are left None: no selection
+    adjustment, and the model's own transition density.  The time-0
     instrumental law is the initial law itself, so the general
     importance weight collapses to the observation likelihood alone.
     """
-
-    def adjustment_log_weight(t, x):
-        return np.zeros(np.shape(x))
-
-    def proposal_log_density(t, x, x_next):
-        return model.transition_log_density(x, x_next)
 
     def proposal_sampler(t, x, rng):
         return model.transition_sampler(x, rng)
 
     return AuxiliaryProposal(
-        adjustment_log_weight=adjustment_log_weight,
-        proposal_log_density=proposal_log_density,
+        adjustment_log_weight=None,
+        proposal_log_density=None,
         proposal_sampler=proposal_sampler,
         initial_instrumental_log_density=model.initial_log_density,
         initial_instrumental_sampler=model.initial_sampler,
     )
 
 
-def _simulate_ar1(phi, sd, horizon, rng, observe):
+def _simulate_ar1(phi, scales, horizon, rng, observe):
     # every state draw first, then every observation draw: y = observe(x,
     # one standard normal per time)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if not abs(phi) < 1.0:
-        raise ValueError(f"|phi| must be < 1, got {phi}")
+    _check_ar1(phi, scales)
+    sd = scales[0][1]
     x = np.empty(horizon + 1)
     x[0] = rng.normal(0.0, GaussianTransition(phi=phi, sd=sd).stationary_sd)
     for t in range(horizon):
@@ -586,18 +599,24 @@ def simulate_lgm(phi, sigma_u, sigma_v, horizon, rng):
 
     Draw order is fixed (all state noise first, then all observation
     noise) so the output is reproducible from the generator seed alone.
-    Returns ``(x, y)`` arrays of length ``horizon + 1``.
+    Returns ``(x, y)`` arrays of length ``horizon + 1``.  The parameters
+    are checked as :func:`make_lgm` checks them.
     """
-    return _simulate_ar1(phi, sigma_u, horizon, rng, lambda x, v: x + sigma_v * v)
+    return _simulate_ar1(
+        phi, (("sigma_u", sigma_u), ("sigma_v", sigma_v)), horizon, rng,
+        lambda x, v: x + sigma_v * v,
+    )
 
 
 def simulate_svm(phi, sigma, beta, horizon, rng):
     """Draw a latent log-volatility path and observations.
 
-    Same draw order convention as :func:`simulate_lgm`.
+    Same draw order convention as :func:`simulate_lgm`, and the
+    parameters are checked as :func:`make_svm` checks them.
     """
     return _simulate_ar1(
-        phi, sigma, horizon, rng, lambda x, v: beta * np.exp(x / 2.0) * v
+        phi, (("sigma", sigma), ("beta", beta)), horizon, rng,
+        lambda x, v: beta * np.exp(x / 2.0) * v,
     )
 
 

@@ -78,6 +78,32 @@ def test_generate_requires_model_parameters(capsys):
     assert "svm needs" in err
 
 
+@pytest.mark.parametrize(
+    "model, flags, message",
+    [
+        ("lgm", ["--phi", "0.9", "--sigma-u", "0.6", "--sigma-v", "-1"],
+         "sigma_v must be positive, got -1.0"),
+        ("svm", ["--phi", "0.9", "--sigma", "0", "--beta", "-2"],
+         "sigma must be positive, got 0.0"),
+    ],
+)
+def test_generate_refuses_the_scales_smooth_refuses(tmp_path, capsys, model, flags, message):
+    out = tmp_path / "refused.csv"
+    code, stdout, err = run_cli(
+        capsys, "generate", "--model", model, *flags,
+        "--horizon", "4", "--seed", "1", "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {message}\n"
+    data = tmp_path / "obs.csv"
+    run_cli(capsys, "generate", "--model", "lgm", *LGM_FLAGS,
+            "--horizon", "4", "--seed", "1", "--out", str(data))
+    assert run_cli(
+        capsys, "smooth", "--data", str(data), "--model", model, *flags,
+        "--method", "path_space", "--n", "10", "--seed", "1",
+    ) == (2, "", err)
+
+
 def test_smooth_round_trip_is_reproducible(tmp_path, capsys):
     data = tmp_path / "obs.csv"
     run_cli(capsys, "generate", "--model", "lgm", *LGM_FLAGS,

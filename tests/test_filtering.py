@@ -3,10 +3,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import smoothcore as sc
-from conftest import make_history, run_hmm_filter
+from conftest import B2, CHI2, P2, make_history, run_hmm_filter
+from smoothcore.models import FAMILIES, categorical_cdf
 
 
 def lgm_setup(horizon=8, seed=1):
@@ -16,14 +17,49 @@ def lgm_setup(horizon=8, seed=1):
     return model, y
 
 
-def test_bootstrap_log_weights_are_observation_densities():
-    model, _ = lgm_setup()
+def family_setup(family, horizon=8):
+    # data simulated from the family itself, so every weight is finite
+    params = {
+        "lgm": {"phi": 0.9, "sigma_u": 0.6, "sigma_v": 1.0},
+        "svm": {"phi": 0.3, "sigma": 0.5, "beta": 1.0},
+        "finite": {"transition": P2, "observation_matrix": B2, "initial": CHI2},
+    }[family]
+    _, payload = FAMILIES[family].simulate(params, horizon, sc.make_rng(4))
+    return FAMILIES[family].build(params, payload)
+
+
+@pytest.mark.parametrize("family", ["lgm", "svm", "finite"])
+def test_bootstrap_log_weights_are_observation_densities(family):
+    # the bootstrap weight (transition + likelihood) - transition, and at
+    # t = 0 (initial - initial) + likelihood, is the likelihood alone
+    model = family_setup(family)
     history = sc.run_filter(
         model, sc.bootstrap_proposal(model), 64, 8, sc.make_rng(3)
     )
     for t in range(9):
         expected = model.observation_log_density(t, history.positions[t])
-        assert np.allclose(history.log_weights[t], expected, atol=1e-12)
+        assert np.allclose(history.log_weights[t], expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["lgm", "svm", "finite"])
+def test_explicit_bootstrap_callables_give_the_same_history(family):
+    # the general formula with a zero adjustment and the model's density
+    # as the proposal's is what the None terms stand for, bit for bit
+    model = family_setup(family, horizon=30)
+    explicit = sc.AuxiliaryProposal(
+        adjustment_log_weight=lambda t, x: np.zeros(np.shape(x)),
+        proposal_log_density=lambda t, x, x_next: model.transition_log_density(
+            x, x_next
+        ),
+        proposal_sampler=lambda t, x, rng: model.transition_sampler(x, rng),
+        initial_instrumental_log_density=model.initial_log_density,
+        initial_instrumental_sampler=model.initial_sampler,
+    )
+    a = sc.run_filter(model, sc.bootstrap_proposal(model), 200, 30, sc.make_rng(5))
+    b = sc.run_filter(model, explicit, 200, 30, sc.make_rng(5))
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.log_weights, b.log_weights)
+    assert np.array_equal(a.ancestors, b.ancestors)
 
 
 def test_single_particle_run():
@@ -198,6 +234,42 @@ def test_categorical_indices_never_draw_a_trailing_zero_probability():
     # rounded total; the slack goes to index 9, not to index 10
     assert sc.categorical_indices([0.1] * 10 + [0.0], [1 - 2**-53])[0] == 9
     assert sc.categorical_indices([0.1] * 10 + [0.0, 0.0], [1 - 2**-53])[0] == 9
+
+
+# a weight is 0 or positive, and a uniform is drawn from [0, 1), is one
+# of the ends 0.0 and 1 - 2**-53, or (an integer i) the CDF's entry i
+WEIGHTS = st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=1, max_size=40)
+PICKS = st.lists(
+    st.floats(0.0, 1.0, exclude_max=True)
+    | st.sampled_from([0.0, 1 - 2**-53])
+    | st.integers(0, 39),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WEIGHTS.filter(any), PICKS, st.booleans())
+@example(weights=[0.0, 0.0, 1.0, 2.0], picks=[0.0, 0, 1, 2, 3], as_list=False)
+@example(weights=[1.0, 0.0, 0.0, 1.0], picks=[0.5, 1, 2, 0.75], as_list=False)
+@example(weights=[0.1] * 10 + [0.0], picks=[1 - 2**-53, 9, 10], as_list=True)
+@example(weights=[3.0], picks=[0.0, 0.3, 1 - 2**-53], as_list=False)
+@example(weights=[1.0, 2.0], picks=[], as_list=False)
+@example(weights=[1.0, 2.0], picks=[], as_list=True)
+def test_categorical_indices_matches_one_unsorted_search(weights, picks, as_list):
+    # the sorted lookup gives each uniform the index a direct search of
+    # the closed CDF gives it, whatever order the uniforms come in
+    probs = np.asarray(weights) / sum(weights)
+    cdf = categorical_cdf(probs)
+    uniforms = [
+        u if isinstance(u, float) else float(cdf[u % cdf.size] % 1.0) for u in picks
+    ]
+    uniforms += uniforms[::2]  # repeated uniforms, out of order
+    expected = np.searchsorted(cdf, uniforms, side="right")
+    drawn = sc.categorical_indices(
+        list(probs) if as_list else probs, uniforms if as_list else np.array(uniforms)
+    )
+    assert drawn.dtype == np.int64 and drawn.shape == (len(uniforms),)
+    assert np.array_equal(drawn, expected)
 
 
 @settings(max_examples=60, deadline=None)

@@ -95,32 +95,6 @@ def test_transition_density_integrates_to_one(build):
         assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_bootstrap_weights_reduce_to_observation_density():
-    rng = sc.make_rng(4)
-    y = rng.normal(size=8)
-    model = sc.make_svm(0.3, 0.5, 1.0, y)
-    proposal = sc.bootstrap_proposal(model)
-    for _ in range(100):
-        t = int(rng.integers(1, 8))
-        x = rng.normal(size=5)
-        x_next = rng.normal(size=5)
-        log_ratio = (
-            model.transition_log_density(x, x_next)
-            + model.observation_log_density(t, x_next)
-            - proposal.adjustment_log_weight(t, x)
-            - proposal.proposal_log_density(t, x, x_next)
-        )
-        assert np.allclose(
-            log_ratio, model.observation_log_density(t, x_next), atol=1e-12
-        )
-    xs = rng.normal(size=64)
-    assert np.allclose(
-        proposal.initial_instrumental_log_density(xs),
-        model.initial_log_density(xs),
-        atol=1e-12,
-    )
-
-
 def test_finite_hmm_mixing_bounds_hand_values(hmm2):
     bounds = hmm2.mixing_bounds
     assert bounds.sigma_minus == pytest.approx(0.3, abs=0)
