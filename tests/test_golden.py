@@ -22,15 +22,19 @@ re-recorded, never loosened, on a platform whose ``exp`` differs.
 """
 
 import hashlib
+import io
+import math
 
 import numpy as np
 import pytest
 
 import smoothcore as sc
+from smoothcore.cli import cli_main
 from smoothcore.models import FAMILIES
 
 CHAIN = [[0.7 if i == j else 0.1 for j in range(4)] for i in range(4)]
 GAUSSIAN_PEAK = 1.0 / (0.6 * np.sqrt(2.0 * np.pi))
+LGM_FLAGS = ["--phi", "0.9", "--sigma-u", "0.6", "--sigma-v", "1.0"]
 
 
 def lgm_problem():
@@ -322,3 +326,130 @@ def test_path_space_value_is_pinned(problem):
     # the genealogy estimate is a filter run and one weighted sum, so its
     # bits are pinned, not a tolerance
     assert value == VALUES[name]["path_space"]
+
+
+# the bytes of every CSV writer on fixed inputs: observations simulated
+# at seed 2050 (T=20), filter dumps of lgm (float positions) and finite
+# (int positions) at N=6, T=4, the Kalman moments of those observations,
+# and a variance table with a NaN-flagged row in both timing modes
+WRITER_DIGESTS = {
+    "observations": (
+        "4969da927d876fd455e1baf3db6e4ffe6c50d707c1ef4f3821a3a1ce5dee5071"
+    ),
+    "history_lgm": (
+        "cd4bce572383f7cc6ac505d98971f9be9d5daf6a46b5c812b192db5613150c93"
+    ),
+    "history_finite": (
+        "0d64b7499ecc115bad580146a5afd10b63afbe544eaf3544b0426413a10013b1"
+    ),
+    "kalman": (
+        "5cb980d939d102ea04729f4d5ddfa02cc67d6171324c6a8a6ec8852408051947"
+    ),
+    "table": "51bc10d6b5e616d8c5135ea8b4401a13d8613df1542ec79c40389cfa7f058274",
+    "table_zero_timings": (
+        "c5b999a25adaa9e102451f445f5d5148f402e68e0175237e6a4548ee076a4e6b"
+    ),
+}
+
+# the same observations through the CLI: `generate`, `oracle kalman` in
+# both modes, and `smooth --zero-timings` (N=40, seed 7) for each method
+CLI_DIGESTS = {
+    "generate": (
+        "4969da927d876fd455e1baf3db6e4ffe6c50d707c1ef4f3821a3a1ce5dee5071"
+    ),
+    "oracle_kalman": (
+        "5cb980d939d102ea04729f4d5ddfa02cc67d6171324c6a8a6ec8852408051947"
+    ),
+    "oracle_kalman_sum": (
+        "ac10856536e5075579d9869025c7d6097e9e4dc56264ccb918b4a2ccbda8ea3b"
+    ),
+    "ffbs_backward": (
+        "306821c8398d113ecbef260747f3534fe22cb36402835371c7c0e9cf0c85da8e"
+    ),
+    "ffbs_forward": (
+        "80a250464cd42dc94b27dd4652ac2c90b5f77f40f5ec95592f586ec7299688c1"
+    ),
+    "ffbsi_direct": (
+        "3dc29ffccc7fd74070e4b72a14b80c92a616672036449fd13d46f5818e567798"
+    ),
+    "ffbsi_rejection": (
+        "a204c1a09ce4793915bf963c93ba49e05e305664ab5fb59595759d042571f031"
+    ),
+    "path_space": (
+        "88aa2dedaca1cdde7252fee126c5400b73c6824bc2ea29bb09468f84d9820157"
+    ),
+}
+
+
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def written(writer, *args) -> str:
+    # the writers take the file first or last
+    buffer = io.StringIO()
+    if writer is sc.write_observations_csv:
+        writer(buffer, *args)
+    else:
+        writer(*args, buffer)
+    return buffer.getvalue()
+
+
+def writer_outputs():
+    x, y = sc.simulate_lgm(0.9, 0.6, 1.0, 20, sc.make_rng(2050))
+    outputs = {"observations": written(sc.write_observations_csv, x, y)}
+    for family in ("lgm", "finite"):
+        params = FAMILY_PARAMS[family]
+        _, payload = FAMILIES[family].simulate(params, 4, sc.make_rng(2051))
+        model = FAMILIES[family].build(params, payload)
+        history = sc.run_filter(
+            model, sc.bootstrap_proposal(model), 6, 4, sc.make_rng(2052)
+        )
+        outputs[f"history_{family}"] = written(sc.dump_history_csv, history)
+    outputs["kalman"] = written(
+        sc.write_kalman_csv, sc.kalman_smooth(0.9, 0.6, 1.0, y)
+    )
+    rows = [
+        sc.VarianceRow(
+            method="ffbs_backward", horizon=20, n_particles=40, lag=0,
+            variance=1.0 / 3.0, mean_estimate=-2.5e-7,
+            mean_wall_seconds=0.012345678901234567, replicates=3,
+        ),
+        sc.VarianceRow(
+            method="path_space", horizon=20, n_particles=40, lag=0,
+            variance=math.nan, mean_estimate=math.nan,
+            mean_wall_seconds=1e-3, replicates=3,
+            error="RuntimeError: flagged",
+        ),
+    ]
+    table = sc.VarianceTable(rows=rows)
+    outputs["table"] = table.to_csv()
+    outputs["table_zero_timings"] = table.to_csv(zero_timings=True)
+    return outputs
+
+
+def test_csv_writers_are_byte_identical():
+    observed = {name: text_digest(text) for name, text in writer_outputs().items()}
+    assert observed == WRITER_DIGESTS
+
+
+def test_cli_outputs_are_byte_identical(tmp_path, capsys):
+    data = tmp_path / "obs.csv"
+    commands = {
+        "generate": ["generate", "--model", "lgm", *LGM_FLAGS,
+                     "--horizon", "20", "--seed", "2050", "--out", str(data)],
+        "oracle_kalman": ["oracle", "kalman", *LGM_FLAGS, "--data", str(data)],
+        "oracle_kalman_sum": ["oracle", "kalman", *LGM_FLAGS, "--data",
+                              str(data), "--sum"],
+    }
+    for method in sc.METHOD_NAMES:
+        commands[method] = [
+            "smooth", "--data", str(data), "--model", "lgm", *LGM_FLAGS,
+            "--method", method, "--n", "40", "--seed", "7", "--zero-timings",
+        ]
+    observed = {}
+    for name, argv in commands.items():
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        observed[name] = text_digest(data.read_text() if name == "generate" else out)
+    assert observed == CLI_DIGESTS
