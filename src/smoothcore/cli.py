@@ -39,6 +39,7 @@ from .models import (
     read_observations_csv,
     state_sum_functional,
     text_file,
+    write_csv,
     write_observations_csv,
     format_float,
 )
@@ -50,7 +51,7 @@ from .oracles import (
     write_kalman_csv,
 )
 from .rng import make_rng
-from .smoothing import ESTIMATE_CSV_HEADER, METHOD_NAMES, SmoothingEstimate
+from .smoothing import METHOD_NAMES
 
 
 def _output(out: str | None):
@@ -100,17 +101,10 @@ def _cmd_smooth(args) -> int:
     horizon = y.size - 1
     functional = state_sum_functional(horizon)
     value, wall = estimate_once(model, functional, args.method, args.n, args.seed)
-    estimate = SmoothingEstimate(
-        method=args.method,
-        value=value,
-        n_particles=args.n,
-        horizon=horizon,
-        lag=functional.lag,
-        seed=args.seed,
-    )
-    row = estimate.csv_row(0.0 if args.zero_timings else wall)
-    text = ESTIMATE_CSV_HEADER + "\n" + row + "\n"
-    _write_text(text, args.out)
+    if args.zero_timings:
+        wall = 0.0
+    row = (args.method, horizon, args.n, functional.lag, args.seed, value, wall)
+    write_csv(_output(args.out), "method,T,N,r,seed,estimate,wall_seconds", [row])
     return 0
 
 
@@ -145,9 +139,7 @@ def _cmd_analyze(args) -> int:
         "n_points": regression.n_points,
     }
     if args.overlay_osc is not None:
-        overlay = fit_bound_scale(
-            table, args.method, args.overlay_lag, args.overlay_osc
-        )
+        overlay = fit_bound_scale(table, args.method, args.overlay_osc)
         report["bound_overlay"] = {
             "scale": overlay.scale,
             "predicted": list(overlay.predicted),
@@ -256,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--axis", choices=("T", "N"), required=True)
     ana.add_argument("--fixed", type=int)
     ana.add_argument("--overlay-osc", type=float, dest="overlay_osc")
-    ana.add_argument("--overlay-lag", type=int, dest="overlay_lag", default=0)
     ana.add_argument("--out")
     ana.set_defaults(func=_cmd_analyze)
 
@@ -314,3 +305,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,6 @@ ffbsi_rejection=4, path_space=5.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -36,9 +35,9 @@ from .models import (
     AdditiveFunctional,
     StateSpaceModel,
     bootstrap_proposal,
-    format_float,
+    read_csv,
     state_sum_functional,
-    text_file,
+    write_csv,
 )
 from .rng import derive_seed, make_rng
 from .smoothing import (
@@ -144,54 +143,44 @@ class VarianceTable:
         """Write the table to a path or text handle, or return it as a
         string when ``file`` is None."""
         target = io.StringIO() if file is None else file
-        with text_file(target, "w") as handle:
-            handle.write(TABLE_CSV_HEADER + "\n")
-            for row in self.rows:
-                wall = 0.0 if zero_timings else row.mean_wall_seconds
-                handle.write(
-                    ",".join(
-                        [
-                            row.method,
-                            str(row.horizon),
-                            str(row.n_particles),
-                            str(row.lag),
-                            format_float(row.variance),
-                            format_float(row.mean_estimate),
-                            format_float(wall),
-                            str(row.replicates),
-                        ]
-                    )
-                    + "\n"
-                )
+        rows = (
+            (
+                row.method,
+                row.horizon,
+                row.n_particles,
+                row.lag,
+                row.variance,
+                row.mean_estimate,
+                0.0 if zero_timings else row.mean_wall_seconds,
+                row.replicates,
+            )
+            for row in self.rows
+        )
+        write_csv(target, TABLE_CSV_HEADER, rows)
         return target.getvalue() if file is None else None
 
     @classmethod
     def from_csv(cls, file) -> "VarianceTable":
         """Read a table written by :meth:`to_csv` from a path or text
         handle."""
-        with text_file(file, "r") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != TABLE_CSV_HEADER.split(","):
-                raise ValueError(
-                    f"expected header {TABLE_CSV_HEADER}, got {header}"
-                )
-            rows = []
-            for record in reader:
-                if not record:
-                    continue
+        rows = []
+        for line, fields in read_csv(file, TABLE_CSV_HEADER):
+            method, horizon, n, lag, variance, mean, wall, replicates = fields
+            try:
                 rows.append(
                     VarianceRow(
-                        method=record[0],
-                        horizon=int(record[1]),
-                        n_particles=int(record[2]),
-                        lag=int(record[3]),
-                        variance=float(record[4]),
-                        mean_estimate=float(record[5]),
-                        mean_wall_seconds=float(record[6]),
-                        replicates=int(record[7]),
+                        method=method,
+                        horizon=int(horizon),
+                        n_particles=int(n),
+                        lag=int(lag),
+                        variance=float(variance),
+                        mean_estimate=float(mean),
+                        mean_wall_seconds=float(wall),
+                        replicates=int(replicates),
                     )
                 )
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
         return cls(rows=rows)
 
 
@@ -534,10 +523,11 @@ class BoundOverlay:
 
 
 def fit_bound_scale(
-    table: VarianceTable, method: str, lag: int, oscillation: float
+    table: VarianceTable, method: str, oscillation: float
 ) -> BoundOverlay:
     """Least-squares scale matching observed variances to the squared
-    Lq bound shape ``lq_error_factor^2 * (T - lag + 1) * osc^2 / N``.
+    Lq bound shape ``lq_error_factor^2 * (T - r + 1) * osc^2 / N``, with
+    each row's own lag r.
 
     The bound's constant is existential, so overlays fit this single
     scale and compare shapes only.
@@ -551,8 +541,8 @@ def fit_bound_scale(
         raise ValueError(f"no usable rows for method {method!r}")
     shapes = np.array(
         [
-            theory_bounds(lag, row.horizon, row.n_particles).lq_error_factor ** 2
-            * (row.horizon - lag + 1)
+            theory_bounds(row.lag, row.horizon, row.n_particles).lq_error_factor ** 2
+            * (row.horizon - row.lag + 1)
             * oscillation
             * oscillation
             / row.n_particles

@@ -22,7 +22,6 @@ but never triggers any adaptive behaviour.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -33,8 +32,7 @@ from .models import (
     AuxiliaryProposal,
     StateSpaceModel,
     categorical_indices,
-    format_float,
-    text_file,
+    write_csv,
 )
 
 
@@ -247,18 +245,15 @@ def effective_sample_size(history: ParticleHistory, t: int) -> float:
 def dump_history_csv(history: ParticleHistory, file) -> None:
     """Debug dump: one row per (t, particle) with position, log weight,
     ancestor (-1 at time 0)."""
-    with text_file(file, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t", "particle", "position", "log_weight", "ancestor"])
-        for t in range(history.horizon + 1):
-            for i in range(history.n_particles):
-                ancestor = -1 if t == 0 else int(history.ancestors[t - 1, i])
-                writer.writerow(
-                    [
-                        t,
-                        i,
-                        format_float(history.positions[t, i]),
-                        format_float(history.log_weights[t, i]),
-                        ancestor,
-                    ]
-                )
+    rows = (
+        (
+            t,
+            i,
+            history.positions[t, i],
+            history.log_weights[t, i],
+            -1 if t == 0 else history.ancestors[t - 1, i],
+        )
+        for t in range(history.horizon + 1)
+        for i in range(history.n_particles)
+    )
+    write_csv(file, "t,particle,position,log_weight,ancestor", rows)

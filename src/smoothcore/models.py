@@ -244,16 +244,11 @@ class AdditiveFunctional:
     ``x_{t-lag}, ..., x_t`` and returns a real value; ``term`` is
     called as ``term(t, x_minus_lag, ..., x_t)`` with array arguments
     that broadcast.
-
-    ``oscillation`` is an optional declared bound on the oscillation of
-    every term; it is consumed only by theory-bound overlays, never by
-    the estimators.
     """
 
     lag: int
     horizon: int
     term: Callable[..., np.ndarray]
-    oscillation: float | None = None
 
     def __post_init__(self):
         if self.lag < 0:
@@ -262,8 +257,6 @@ class AdditiveFunctional:
             raise ValueError(
                 f"horizon {self.horizon} is smaller than lag {self.lag}"
             )
-        if self.oscillation is not None and not self.oscillation >= 0.0:
-            raise ValueError("oscillation bound must be nonnegative")
 
     def term_on_grid(self, t: int, axes) -> np.ndarray:
         """h_t on the (lag+1)-fold grid of ``axes``, one 1-d array of
@@ -718,59 +711,86 @@ def text_file(file, mode: str):
         yield file
 
 
-def write_observations_csv(file, x_true, y) -> None:
-    """Write a simulated sequence as ``t,x_true,y`` rows.
+def _csv_field(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return format_float(value)
+    return "" if value is None else str(value)
 
-    ``file`` is a path or a text file object; text is UTF-8 with plain
-    newlines and floats carry 17 significant digits.
+
+def write_csv(file, header: str, rows) -> None:
+    """Write the comma-separated ``header`` and then one line per row
+    to a path or text handle, as every table the package writes.
+
+    Lines end in a bare newline; a float field is rendered by
+    :func:`format_float`, None as an empty field and anything else by
+    ``str``.
     """
+    with text_file(file, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows([_csv_field(value) for value in row] for row in rows)
+
+
+def read_csv(file, header: str) -> list[tuple[int, list[str]]]:
+    """The ``(line, fields)`` pairs of a table written by
+    :func:`write_csv`, read from a path or text handle.
+
+    The first line must be ``header`` and every nonblank line after it
+    must have as many fields; otherwise a ``ValueError`` names the
+    line.  Blank lines are skipped, and the fields stay strings for
+    each format to convert.
+    """
+    names = header.split(",")
+    with text_file(file, "r") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first != names:
+            raise ValueError(f"expected header {header}, got {first}")
+        rows = []
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(names):
+                raise ValueError(
+                    f"line {reader.line_num}: expected {len(names)} fields "
+                    f"{header}, got {len(fields)}"
+                )
+            rows.append((reader.line_num, fields))
+    return rows
+
+
+OBSERVATIONS_CSV_HEADER = "t,x_true,y"
+
+
+def write_observations_csv(file, x_true, y) -> None:
+    """Write a simulated sequence as ``t,x_true,y`` rows to a path or
+    text handle."""
     x_true = np.asarray(x_true, dtype=float)
     y = np.asarray(y, dtype=float)
     if x_true.shape != y.shape or x_true.ndim != 1:
         raise ValueError("x_true and y must be 1-d arrays of equal length")
-
-    with text_file(file, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t", "x_true", "y"])
-        for t in range(x_true.size):
-            writer.writerow([t, format_float(x_true[t]), format_float(y[t])])
+    write_csv(file, OBSERVATIONS_CSV_HEADER, zip(range(y.size), x_true, y))
 
 
 def read_observations_csv(file):
     """Read a ``t,x_true,y`` CSV back into ``(x_true, y)`` arrays.
 
-    ``file`` is a path or a text file object, as for the writer.  Each
-    data row must have exactly three fields, ``t`` must count 0, 1, 2,
-    ... in order, and ``x_true`` and ``y`` must parse as floats;
-    otherwise a ``ValueError`` names the line.
+    ``file`` is a path or a text handle, as for the writer.  Besides
+    :func:`read_csv`'s checks, ``t`` must count 0, 1, 2, ... in order,
+    and ``x_true`` and ``y`` must parse as floats; otherwise a
+    ``ValueError`` names the line.
     """
-    with text_file(file, "r") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["t", "x_true", "y"]:
-            raise ValueError(f"expected header t,x_true,y, got {header}")
-        xs, ys = [], []
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 3:
-                raise ValueError(
-                    f"line {line}: expected 3 fields t,x_true,y, got {len(row)}"
-                )
-            if row[0].strip() != str(len(ys)):
-                raise ValueError(
-                    f"line {line}: expected t = {len(ys)}, got {row[0]!r}"
-                )
-            try:
-                x, y = float(row[1]), float(row[2])
-            except ValueError:
-                raise ValueError(
-                    f"line {line}: x_true and y must be numbers, "
-                    f"got {row[1]!r} and {row[2]!r}"
-                ) from None
-            xs.append(x)
-            ys.append(y)
+    xs, ys = [], []
+    for line, (t, x, y) in read_csv(file, OBSERVATIONS_CSV_HEADER):
+        if t.strip() != str(len(ys)):
+            raise ValueError(f"line {line}: expected t = {len(ys)}, got {t!r}")
+        try:
+            xs.append(float(x))
+            ys.append(float(y))
+        except ValueError:
+            raise ValueError(
+                f"line {line}: x_true and y must be numbers, got {x!r} and {y!r}"
+            ) from None
     if not ys:
         raise ValueError("no data rows in observations file")
     return np.asarray(xs), np.asarray(ys)

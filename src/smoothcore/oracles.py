@@ -18,7 +18,6 @@ against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,8 +29,9 @@ from .models import (
     _LOG_2PI,
     AdditiveFunctional,
     StateSpaceModel,
-    format_float,
-    text_file,
+    _check_ar1,
+    _require_finite,
+    write_csv,
 )
 
 
@@ -80,13 +80,11 @@ def kalman_smooth(
     with the next smoothed moment through the usual gain
     ``P_t phi / P_pred_{t+1}``.
     """
-    if not abs(phi) < 1.0:
-        raise ValueError(f"|phi| must be < 1, got {phi}")
-    if not (sigma_u > 0.0 and sigma_v > 0.0):
-        raise ValueError("noise scales must be positive")
+    _check_ar1(phi, (("sigma_u", sigma_u), ("sigma_v", sigma_v)))
     y = np.asarray(observations, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("observations must be a nonempty 1-d sequence")
+    _require_finite("observations", y)
 
     steps = y.size
     q = sigma_u * sigma_u
@@ -135,21 +133,17 @@ def kalman_smooth(
 
 def write_kalman_csv(result: KalmanResult, file) -> None:
     """Write per-step posterior moments as CSV to a path or text handle."""
-    with text_file(file, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["t", "filtered_mean", "filtered_var", "smoothed_mean", "smoothed_var"]
-        )
-        for t in range(result.filtered_mean.size):
-            writer.writerow(
-                [
-                    t,
-                    format_float(result.filtered_mean[t]),
-                    format_float(result.filtered_var[t]),
-                    format_float(result.smoothed_mean[t]),
-                    format_float(result.smoothed_var[t]),
-                ]
-            )
+    write_csv(
+        file,
+        "t,filtered_mean,filtered_var,smoothed_mean,smoothed_var",
+        zip(
+            range(result.filtered_mean.size),
+            result.filtered_mean,
+            result.filtered_var,
+            result.smoothed_mean,
+            result.smoothed_var,
+        ),
+    )
 
 
 def _finite_data(model: StateSpaceModel):

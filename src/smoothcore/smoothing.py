@@ -59,7 +59,6 @@ from .models import (
     StateSpaceModel,
     categorical_cdf,
     categorical_indices,
-    format_float,
 )
 
 METHOD_FFBS_BACKWARD = "ffbs_backward"
@@ -76,8 +75,6 @@ METHOD_NAMES = (
     METHOD_PATH_SPACE,
 )
 
-ESTIMATE_CSV_HEADER = "method,T,N,r,seed,estimate,wall_seconds"
-
 
 @dataclass(frozen=True)
 class SmoothingEstimate:
@@ -93,22 +90,6 @@ class SmoothingEstimate:
     def __post_init__(self):
         if self.method not in METHOD_NAMES:
             raise ValueError(f"unknown method name {self.method!r}")
-
-    def csv_row(self, wall_seconds: float) -> str:
-        """One ``ESTIMATE_CSV_HEADER`` row; ``wall_seconds`` is the
-        pipeline's wall time, which the estimate does not carry."""
-        seed = "" if self.seed is None else str(self.seed)
-        return ",".join(
-            [
-                self.method,
-                str(self.horizon),
-                str(self.n_particles),
-                str(self.lag),
-                seed,
-                format_float(self.value),
-                format_float(wall_seconds),
-            ]
-        )
 
 
 @dataclass(frozen=True)

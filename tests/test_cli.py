@@ -305,6 +305,59 @@ def test_analyze_reports_a_slope(tmp_path, capsys):
     assert "no usable rows" in err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("ffbsi_direct,100,300", "line 2: expected 8 fields "),
+     ("ffbsi_direct,1e2,300,0,1,0,0,10", "line 2: invalid literal for int() ")],
+    ids=["truncated", "non-integer"],
+)
+def test_analyze_names_the_line_of_a_bad_row(tmp_path, capsys, row, message):
+    table = tmp_path / "table.csv"
+    table.write_text(
+        f"method,T,N,r,variance,mean,mean_wall_seconds,replicates\n{row}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        capsys, "analyze", "--table", str(table),
+        "--method", "ffbsi_direct", "--axis", "T",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message)
+
+
+def test_oracle_kalman_refuses_a_nonfinite_observation(tmp_path, capsys):
+    data = tmp_path / "obs.csv"
+    data.write_text("t,x_true,y\n0,0.1,nan\n1,0.2,0.3\n", encoding="utf-8")
+    message = "error: observations[0] = nan is not finite\n"
+    for argv in (["oracle", "kalman", "--sum"], ["oracle", "kalman"],
+                 ["smooth", "--model", "lgm", "--method", "path_space",
+                  "--n", "10", "--seed", "1"]):
+        assert run_cli(
+            capsys, *argv, *LGM_FLAGS, "--data", str(data)
+        ) == (2, "", message)
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(sc.__file__).parents[1]))
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "smoothcore.cli", "generate", "--model", "lgm",
+             "--phi", "0.9", "--sigma-u", "0.6", *flags,
+             "--horizon", "4", "--seed", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+
+    out = tmp_path / "obs.csv"
+    refused = run("--sigma-v", "-1")
+    assert refused.returncode == 2 and not out.exists()
+    assert refused.stderr == "error: sigma_v must be positive, got -1.0\n"
+    written = run("--sigma-v", "1")
+    assert written.returncode == 0 and written.stderr == ""
+    x, y = sc.read_observations_csv(out)
+    assert x.shape == y.shape == (5,)
+
+
 def test_oracle_kalman_outputs(tmp_path, capsys):
     data = tmp_path / "obs.csv"
     run_cli(capsys, "generate", "--model", "lgm", *LGM_FLAGS,

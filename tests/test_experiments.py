@@ -272,8 +272,28 @@ def test_bound_overlay_recovers_a_planted_scale():
             )
         )
     table = sc.VarianceTable(rows=rows)
-    overlay = sc.fit_bound_scale(table, "ffbsi_direct", 0, 2.0)
+    overlay = sc.fit_bound_scale(table, "ffbsi_direct", 2.0)
     assert overlay.scale == pytest.approx(3.0, rel=1e-12)
+    assert np.allclose(overlay.predicted, overlay.observed, rtol=1e-12)
+
+
+def test_bound_overlay_takes_each_rows_lag():
+    # rows of lags 0 and 1 in one table: each is scored by its own r
+    rows = []
+    for horizon, lag in ((50, 0), (100, 1), (200, 1)):
+        shape = (
+            sc.theory_bounds(lag, horizon, 300).lq_error_factor ** 2
+            * (horizon - lag + 1) / 300
+        )
+        rows.append(
+            sc.VarianceRow(
+                method="ffbs_backward", horizon=horizon, n_particles=300,
+                lag=lag, variance=5.0 * shape, mean_estimate=0.0,
+                mean_wall_seconds=0.0, replicates=10,
+            )
+        )
+    overlay = sc.fit_bound_scale(sc.VarianceTable(rows=rows), "ffbs_backward", 1.0)
+    assert overlay.scale == pytest.approx(5.0, rel=1e-12)
     assert np.allclose(overlay.predicted, overlay.observed, rtol=1e-12)
 
 

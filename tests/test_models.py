@@ -238,8 +238,6 @@ def test_additive_functional_validation():
         sc.AdditiveFunctional(lag=-1, horizon=3, term=lambda t, x: x)
     with pytest.raises(ValueError):
         sc.AdditiveFunctional(lag=4, horizon=3, term=lambda t, *xs: 0.0)
-    with pytest.raises(ValueError):
-        sc.AdditiveFunctional(lag=0, horizon=3, term=lambda t, x: x, oscillation=-1.0)
     f = sc.state_sum_functional(5)
     assert f.lag == 0 and f.horizon == 5
     assert f.term(3, 2.5) == 2.5
@@ -316,6 +314,26 @@ def test_observations_csv_names_the_line_of_a_non_numeric_field(text, field):
         sc.read_observations_csv(io.StringIO(text))
     line = text.count("\n")
     assert f"line {line}:" in str(info.value) and field in str(info.value)
+
+
+def test_csv_helpers_render_and_check_every_field():
+    from smoothcore.models import read_csv, write_csv
+
+    buffer = io.StringIO()
+    rows = [(1, 0.1, None, "x"), (np.int64(-2), np.float64(2.0), 3.5, "")]
+    write_csv(buffer, "a,b,c,d", rows)
+    text = buffer.getvalue()
+    assert text == "a,b,c,d\n1,0.10000000000000001,,x\n-2,2,3.5,\n"
+    # blank lines are skipped and each row keeps its own line number
+    text += "\n\n"
+    assert read_csv(io.StringIO(text), "a,b,c,d") == [
+        (2, ["1", "0.10000000000000001", "", "x"]),
+        (3, ["-2", "2", "3.5", ""]),
+    ]
+    with pytest.raises(ValueError, match=r"^expected header a,b,c, got \['a', "):
+        read_csv(io.StringIO(text), "a,b,c")
+    with pytest.raises(ValueError, match="^line 6: expected 4 fields a,b,c,d, got 2$"):
+        read_csv(io.StringIO(text + "1,2\n"), "a,b,c,d")
 
 
 X_IO = [0.5, -1.25, 2.0]

@@ -94,6 +94,19 @@ def test_kalman_validation():
         sc.kalman_smooth(0.9, 0.6, 1.0, [])
 
 
+def test_kalman_checks_its_inputs_as_the_lgm_does():
+    # one copy of the AR(1) checks: the oracle refuses what make_lgm refuses,
+    # with the same messages
+    for args in ((0.9, 0.6, -1.0, [0.0]), (1.0, 0.6, 1.0, [0.0]),
+                 (0.9, 0.6, 1.0, [0.5, math.nan])):
+        with pytest.raises(ValueError) as oracle:
+            sc.kalman_smooth(*args)
+        with pytest.raises(ValueError) as model:
+            sc.make_lgm(*args)
+        assert str(oracle.value) == str(model.value)
+    assert str(oracle.value) == "observations[1] = nan is not finite"
+
+
 def test_kalman_csv_schema():
     result = sc.kalman_smooth(0.9, 0.6, 1.0, [0.5, -0.25])
     buffer = io.StringIO()

@@ -853,18 +853,8 @@ def test_path_space_matches_ffbs_in_distribution_cheaply():
     assert abs(gap) < 4.0 * se
 
 
-def test_estimate_csv_row_formatting():
-    estimate = sc.SmoothingEstimate(
-        method="ffbs_backward",
-        value=1.5,
-        n_particles=10,
-        horizon=5,
-        lag=0,
-        seed=42,
-    )
-    assert estimate.csv_row(3.25) == "ffbs_backward,5,10,0,42,1.5,3.25"
-    assert estimate.csv_row(0.0) == "ffbs_backward,5,10,0,42,1.5,0"
-    with pytest.raises(ValueError):
+def test_estimate_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method name 'nonsense'"):
         sc.SmoothingEstimate(
             method="nonsense", value=0.0, n_particles=1, horizon=0, lag=0,
             seed=None,
