@@ -10,7 +10,13 @@ from scipy.stats import norm
 
 import smoothcore as sc
 from conftest import B2, CHI2, P2
-from smoothcore.models import _LOG_2PI, _normal_logpdf, categorical_rows
+from smoothcore.models import (
+    _LOG_2PI,
+    _normal_logpdf,
+    categorical_rows,
+    read_csv,
+    write_csv,
+)
 
 
 def test_lgm_densities_match_reference_normals():
@@ -317,8 +323,6 @@ def test_observations_csv_names_the_line_of_a_non_numeric_field(text, field):
 
 
 def test_csv_helpers_render_and_check_every_field():
-    from smoothcore.models import read_csv, write_csv
-
     buffer = io.StringIO()
     rows = [(1, 0.1, None, "x"), (np.int64(-2), np.float64(2.0), 3.5, "")]
     write_csv(buffer, "a,b,c,d", rows)
