@@ -196,12 +196,7 @@ def _cmd_oracle(args) -> int:
         params = _continuous_params(args, "lgm")
         _, y = read_observations_csv(args.data)
         model = FAMILIES["lgm"].build(params, y)
-        grid = quadrature_grid(
-            0.0,
-            model.gaussian_transition.stationary_sd,
-            half_width_scales=args.grid_width,
-            panels=args.grid_panels,
-        )
+        grid = quadrature_grid(0.0, model.gaussian_transition.stationary_sd)
         value = path_space_asymptotic_variance(
             model, state_sum_functional(y.size - 1), grid=grid
         )
@@ -273,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     gam.add_argument("--config", help="finite independent-kernel model JSON")
     _add_family_flags(gam, ("lgm",))
     gam.add_argument("--data")
-    gam.add_argument("--grid-width", type=float, default=10.0, dest="grid_width")
-    gam.add_argument("--grid-panels", type=int, default=10_000, dest="grid_panels")
     gam.add_argument("--out")
     gam.set_defaults(func=_cmd_oracle)
 
@@ -294,6 +287,9 @@ def cli_main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         sys.stderr.write(f"file not found: {exc.filename}\n")
+        return 2
+    except OSError as exc:
+        sys.stderr.write(f"cannot use {exc.filename}: {exc.strerror}\n")
         return 2
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -291,7 +291,7 @@ def _check_ar1(phi, scales):
             raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _ar1_model(phi, scales, observations, observe, mixing_bounds):
+def _ar1_model(phi, scales, observations, observe):
     # the Gaussian families' model, observed through observe(y_t, x)
     _check_ar1(phi, scales)
     y = np.asarray(observations, dtype=float)
@@ -318,7 +318,7 @@ def _ar1_model(phi, scales, observations, observe, mixing_bounds):
         transition_sampler=kernel.sample,
         observation_log_density=observation_log_density,
         n_observations=y.size,
-        mixing_bounds=mixing_bounds or _gaussian_peak(kernel),
+        mixing_bounds=_gaussian_peak(kernel),
         gaussian_transition=kernel,
     )
 
@@ -328,7 +328,6 @@ def make_lgm(
     sigma_u: float,
     sigma_v: float,
     observations: Sequence[float],
-    mixing_bounds: MixingBounds | None = None,
 ) -> StateSpaceModel:
     """Linear Gaussian model observed in Gaussian noise.
 
@@ -344,19 +343,17 @@ def make_lgm(
         State and observation noise scales, > 0.
     observations : sequence of float
         The observed sequence y_0, ..., y_T, baked into the model.
-    mixing_bounds : MixingBounds, optional
-        By default only the exact peak of the Gaussian kernel,
-        ``sigma_plus = 1 / (sigma_u sqrt(2 pi))``, is attached: no lower
-        bound holds on the real line.  Callers restricting the state to
-        a compact set may supply their own.
+
+    The model's ``mixing_bounds`` hold the exact peak of the Gaussian
+    kernel, ``sigma_plus = 1 / (sigma_u sqrt(2 pi))``, alone: no lower
+    bound holds on the real line.
     """
 
     def observe(y_t, x):
         return _normal_logpdf(y_t, x, sigma_v)
 
     return _ar1_model(
-        phi, (("sigma_u", sigma_u), ("sigma_v", sigma_v)), observations, observe,
-        mixing_bounds,
+        phi, (("sigma_u", sigma_u), ("sigma_v", sigma_v)), observations, observe
     )
 
 
@@ -365,7 +362,6 @@ def make_svm(
     sigma: float,
     beta: float,
     observations: Sequence[float],
-    mixing_bounds: MixingBounds | None = None,
 ) -> StateSpaceModel:
     """Stochastic volatility model.
 
@@ -373,7 +369,7 @@ def make_svm(
     linear Gaussian model (scale ``sigma``); the observation is
     ``Y_t = beta exp(X_t / 2) V_t`` with standard Gaussian noise, so
     ``Y_t | X_t ~ N(0, beta^2 exp(X_t))``.  As for :func:`make_lgm`,
-    ``mixing_bounds`` defaults to the kernel's exact peak
+    ``mixing_bounds`` hold the kernel's exact peak
     ``sigma_plus = 1 / (sigma sqrt(2 pi))``.
     """
 
@@ -382,7 +378,7 @@ def make_svm(
         return -0.5 * (squared * np.exp(-x) + x) - math.log(beta) - 0.5 * _LOG_2PI
 
     return _ar1_model(
-        phi, (("sigma", sigma), ("beta", beta)), observations, observe, mixing_bounds
+        phi, (("sigma", sigma), ("beta", beta)), observations, observe
     )
 
 

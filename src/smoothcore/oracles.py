@@ -10,8 +10,9 @@ against.
 * :func:`path_space_asymptotic_variance` evaluates, term by term, the
   closed-form asymptotic variance of the genealogy-based estimator of a
   lag 0 additive functional when the transition kernel does not depend
-  on the source state.  Integrals are exact sums on finite chains and
-  composite Simpson quadrature on a supplied grid otherwise.
+  on the source state.  Every integral is one weighted sum: exact over
+  the states of a finite chain, and composite Simpson over a supplied
+  grid of an odd number (>= 3) of strictly increasing nodes otherwise.
 * :func:`theory_bounds` evaluates the closed-form factors that shape
   the moment and deviation bounds of the backward estimators.
 """
@@ -245,10 +246,35 @@ def quadrature_grid(
     """Evenly spaced Simpson grid over ``center +- half_width_scales * scale``."""
     if panels < 2 or panels % 2:
         raise ValueError("panels must be a positive even number")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    for name, value in (("scale", scale), ("half_width_scales", half_width_scales)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     half = half_width_scales * scale
     return np.linspace(center - half, center + half, panels + 1)
+
+
+def _simpson_weights(grid: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights on an odd number (>= 3) of strictly
+    increasing nodes, so that ``weights @ f(grid)`` integrates f.
+
+    Each pair of intervals (h0, h1) gets the three-point rule on its own
+    widths.  It is exact for quadratics, and for cubics where h0 = h1;
+    on an evenly spaced grid it is h/3 (1, 4, 1).
+    """
+    if grid.ndim != 1 or grid.size < 3 or grid.size % 2 == 0:
+        raise ValueError(f"grid needs an odd number >= 3 of nodes, got {grid.shape}")
+    h = np.diff(grid)
+    if not np.all((0.0 < h) & (h < np.inf)):
+        raise ValueError("grid nodes must be finite and strictly increasing")
+    h0, h1 = h[0::2], h[1::2]
+    span = (h0 + h1) / 6.0
+    weights = np.zeros(grid.size)
+    weights[0:-2:2] += span * (2.0 - h1 / h0)
+    weights[1::2] += span * (h0 + h1) ** 2 / (h0 * h1)
+    weights[2::2] += span * (2.0 - h0 / h1)
+    return weights
 
 
 def path_space_asymptotic_variance(
@@ -265,9 +291,11 @@ def path_space_asymptotic_variance(
     estimator's variance at N particles is approximately this value
     divided by N.
 
-    On finite chains all integrals are exact sums.  Otherwise a
-    quadrature ``grid`` must be supplied and integrals use composite
-    Simpson on it.
+    Every integral is a weighted sum over one support.  On finite chains
+    the support is the states, weighted by the transition row and the
+    initial law, so the sums are exact.  Otherwise a quadrature ``grid``
+    must be supplied: an odd number (>= 3) of strictly increasing nodes,
+    weighted by the densities times composite Simpson weights.
     """
     if functional.lag != 0:
         raise UnsupportedLagError(
@@ -283,62 +311,36 @@ def path_space_asymptotic_variance(
             )
         if horizon >= data.emissions.shape[0]:
             raise ValueError("functional horizon exceeds the emission rows")
+        support = np.arange(data.n_states)
         kernel = data.transition[0]
         initial = data.initial
-        support = np.arange(data.n_states)
-
-        def integrate_kernel(values):
-            return float(kernel @ values)
-
-        def integrate_initial(values):
-            return float(initial @ values)
-
-        def likelihood(t):
-            return data.emissions[t]
-
+        likelihoods = data.emissions[: horizon + 1]
     else:
         if grid is None:
             raise UnsupportedModelError(
                 "continuous models need a quadrature grid for the integrals"
             )
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 3:
-            raise ValueError("grid must be a 1-d array with at least 3 nodes")
-        probe_a = np.asarray(
-            model.transition_log_density(np.full_like(grid, grid[0]), grid),
-            dtype=float,
-        )
-        probe_b = np.asarray(
-            model.transition_log_density(np.full_like(grid, grid[-1]), grid),
-            dtype=float,
+        support = np.asarray(grid, dtype=float)
+        simpson = _simpson_weights(support)
+        probe_a, probe_b = (
+            model.transition_log_density(np.full_like(support, end), support)
+            for end in (support[0], support[-1])
         )
         if not np.allclose(probe_a, probe_b, rtol=1e-10, atol=1e-12):
             raise UnsupportedModelError(
                 "transition density depends on the source state"
             )
-        kernel = np.exp(probe_a)
-        initial = np.exp(np.asarray(model.initial_log_density(grid), dtype=float))
-        support = grid
-        # imported here, the one use of scipy, so that `import smoothcore`
-        # does not load scipy.integrate
-        from scipy.integrate import simpson
-
-        def integrate_kernel(values):
-            return float(simpson(kernel * values, x=grid))
-
-        def integrate_initial(values):
-            return float(simpson(initial * values, x=grid))
-
-        def likelihood(t):
-            return np.exp(
-                np.asarray(model.observation_log_density(t, grid), dtype=float)
-            )
+        kernel = np.exp(probe_a) * simpson
+        initial = np.exp(model.initial_log_density(support)) * simpson
+        likelihoods = [
+            np.exp(model.observation_log_density(t, support))
+            for t in range(horizon + 1)
+        ]
 
     term_values = [
         np.asarray(functional.term(t, support), dtype=float)
         for t in range(horizon + 1)
     ]
-    likelihoods = [likelihood(t) for t in range(horizon + 1)]
 
     ratio_second_moment = np.empty(horizon + 1)
     centered_variance = np.empty(horizon + 1)
@@ -347,21 +349,21 @@ def path_space_asymptotic_variance(
     for t in range(horizon + 1):
         g = likelihoods[t]
         h = term_values[t]
-        mass = integrate_kernel(g)
+        mass = float(kernel @ g)
         if mass <= 0.0:
             raise ValueError(f"zero predictive mass at t={t}")
-        filter_mean = integrate_kernel(g * h) / mass
+        filter_mean = float(kernel @ (g * h)) / mass
         centered = (h - filter_mean) ** 2
         centered_sq.append(centered)
-        ratio_second_moment[t] = integrate_kernel(g * g) / (mass * mass)
-        centered_variance[t] = integrate_kernel(g * centered) / mass
-        centered_second_ratio[t] = integrate_kernel(g * g * centered) / (mass * mass)
+        ratio_second_moment[t] = float(kernel @ (g * g)) / (mass * mass)
+        centered_variance[t] = float(kernel @ (g * centered)) / mass
+        centered_second_ratio[t] = float(kernel @ (g * g * centered)) / (mass * mass)
 
-    initial_mass = integrate_initial(likelihoods[0])
+    initial_mass = float(initial @ likelihoods[0])
     if initial_mass <= 0.0:
         raise ValueError("zero initial likelihood mass")
-    initial_term = integrate_initial(
-        likelihoods[0] * likelihoods[0] * centered_sq[0]
+    initial_term = float(
+        initial @ (likelihoods[0] * likelihoods[0] * centered_sq[0])
     ) / (initial_mass * initial_mass)
 
     total = initial_term

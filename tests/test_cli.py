@@ -18,19 +18,41 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_loads_no_scipy_and_no_process_pool():
-    # every `smoothcore` command pays for what the package imports
+def loaded_modules(statements, roots):
+    """The modules under ``roots`` that a fresh interpreter has loaded
+    after running ``statements``."""
     code = (
-        "import json, sys, smoothcore, smoothcore.cli; "
+        f"import json, sys; {statements}; "
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] "
-        "in ('scipy', 'multiprocessing', 'concurrent'))))"
+        f"in {tuple(roots)!r})))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(sc.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert json.loads(result.stdout) == []
+    return json.loads(result.stdout)
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    # every `smoothcore` command pays for what the package imports
+    assert loaded_modules(
+        "import smoothcore, smoothcore.cli", ("scipy", "multiprocessing", "concurrent")
+    ) == []
+
+
+def test_oracle_gamma_on_an_lgm_runs_without_scipy(tmp_path, capsys):
+    # the quadrature oracle is the package on numpy alone, like the rest
+    data, out = tmp_path / "obs.csv", tmp_path / "gamma.txt"
+    flags = ["--phi", "0", "--sigma-u", "0.6", "--sigma-v", "1"]
+    run_cli(capsys, "generate", "--model", "lgm", *flags,
+            "--horizon", "3", "--seed", "6", "--out", str(data))
+    argv = ["oracle", "gamma", *flags, "--data", str(data), "--out", str(out)]
+    statements = (
+        f"from smoothcore.cli import cli_main; assert cli_main({argv!r}) == 0"
+    )
+    assert loaded_modules(statements, ("scipy",)) == []
+    assert float(out.read_text(encoding="utf-8")) > 0.0
 
 
 LGM_FLAGS = ["--phi", "0.9", "--sigma-u", "0.6", "--sigma-v", "1.0"]
@@ -163,6 +185,21 @@ def test_missing_data_file_is_a_usage_error(capsys):
     )
     assert code == 2
     assert "file not found" in err
+
+
+def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, capsys):
+    folder = str(tmp_path)
+    commands = [
+        ["analyze", "--table", folder, "--method", "path_space", "--axis", "T"],
+        ["smooth", "--data", folder, "--model", "lgm", *LGM_FLAGS,
+         "--method", "ffbs_backward", "--n", "10", "--seed", "1"],
+        ["generate", "--model", "lgm", *LGM_FLAGS, "--horizon", "2",
+         "--seed", "1", "--out", folder],
+    ]
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"cannot use {folder}: ")
 
 
 def test_a_negative_particle_count_is_a_usage_error(tmp_path, capsys):
@@ -433,6 +470,11 @@ def test_oracle_gamma_on_an_independent_lgm(tmp_path, capsys):
     # gamma without a config needs the full lgm description
     assert run_cli(capsys, "oracle", "gamma", "--data", str(data))[0] == 2
     assert run_cli(capsys, "oracle", "gamma")[0] == 2
+    # the grid is quadrature_grid's default; it has no flags
+    for flag in ("--grid-width", "--grid-panels"):
+        assert run_cli(capsys, "oracle", "gamma", "--phi", "0.0", "--sigma-u",
+                       "0.6", "--sigma-v", "1.0", "--data", str(data),
+                       flag, "4")[0] == 2
 
 
 def test_help_exits_cleanly(capsys):

@@ -159,8 +159,6 @@ def test_gaussian_kernels_carry_their_exact_peak(family):
     assert np.allclose(np.exp(model.transition_log_density(x, 0.9 * x)), peak)
     grid = np.exp(model.transition_log_density(0.5, np.linspace(-5, 5, 1001)))
     assert grid.max() <= peak
-    own = sc.MixingBounds(sigma_plus=3.0, sigma_minus=0.1, c_minus=0.2)
-    assert make(0.9, 0.6, 1.0, y, mixing_bounds=own).mixing_bounds is own
 
 
 def test_model_constructor_validation():

@@ -14,6 +14,7 @@ from bruteforce import (
     grid_lgm_smoothed_means,
 )
 from conftest import B2, CHI2, P2, random_hmm
+from smoothcore.oracles import _simpson_weights
 
 
 def test_kalman_single_observation_closed_form():
@@ -333,6 +334,89 @@ def test_quadrature_grid_shape_and_validation():
         sc.quadrature_grid(0.0, 1.0, panels=11)
     with pytest.raises(ValueError):
         sc.quadrature_grid(0.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        ({"center": math.inf}, "center"),
+        ({"center": math.nan}, "center"),
+        ({"scale": math.inf}, "scale"),
+        ({"half_width_scales": -10.0}, "half_width_scales"),
+        ({"half_width_scales": 0.0}, "half_width_scales"),
+        ({"half_width_scales": math.inf}, "half_width_scales"),
+        ({"half_width_scales": math.nan}, "half_width_scales"),
+    ],
+)
+def test_quadrature_grid_refuses_a_bad_center_or_half_width(bad, name):
+    # a descending or collapsed grid would only surface later, as a
+    # zero predictive mass
+    with pytest.raises(ValueError, match=name):
+        sc.quadrature_grid(**{"center": 0.0, "scale": 0.6, **bad})
+
+
+def cubic(x):
+    return 2.0 * x**3 - x**2 + 3.0 * x - 5.0
+
+
+def cubic_integral(a, b):
+    def antiderivative(x):
+        return 0.5 * x**4 - x**3 / 3.0 + 1.5 * x**2 - 5.0 * x
+
+    return antiderivative(b) - antiderivative(a)
+
+
+def test_simpson_weights_integrate_cubics_exactly():
+    even = np.linspace(-1.5, 2.5, 9)
+    # uneven, each pair of intervals split at its midpoint: still exact
+    # for cubics
+    ends = np.array([-1.5, -1.2, 0.1, 0.4, 2.5])
+    paired = np.empty(2 * ends.size - 1)
+    paired[0::2] = ends
+    paired[1::2] = 0.5 * (ends[:-1] + ends[1:])
+    for grid in (even, paired):
+        value = _simpson_weights(grid) @ cubic(grid)
+        assert value == pytest.approx(cubic_integral(-1.5, 2.5), rel=1e-14)
+    # any uneven grid: exact for quadratics
+    grid = np.array([-1.0, -0.7, 0.2, 0.25, 1.1, 1.3, 2.0])
+    value = _simpson_weights(grid) @ (grid**2 - 2.0 * grid + 0.5)
+    assert value == pytest.approx(
+        (2.0**3 + 1.0) / 3.0 - (2.0**2 - 1.0) + 0.5 * 3.0, rel=1e-14
+    )
+
+
+@pytest.mark.parametrize(
+    "args", [(0.0, 0.6), (0.3, 1.2, 4.0, 20), (-2.0, 0.05, 10.0, 200)]
+)
+def test_simpson_weights_match_scipy_on_quadrature_grids(args):
+    grid = sc.quadrature_grid(*args)
+    values = norm.pdf(grid, 0.2, 0.7) * np.cos(grid)
+    expected = integrate.simpson(values, x=grid)
+    assert _simpson_weights(grid) @ values == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (np.linspace(0.0, 1.0, 4), "odd number"),
+        (np.array([0.0, 1.0]), "odd number"),
+        (np.zeros((3, 3)), "odd number"),
+        (np.array([0.0, 1.0, 1.0]), "strictly increasing"),
+        (np.array([0.0, -1.0, -2.0]), "strictly increasing"),
+        (np.array([0.0, 1.0, math.inf]), "strictly increasing"),
+        (np.array([0.0, math.nan, 2.0]), "strictly increasing"),
+    ],
+)
+def test_simpson_weights_refuse_a_bad_grid(grid, message):
+    with pytest.raises(ValueError, match=message):
+        _simpson_weights(grid)
+    # and so does the oracle that integrates on it
+    model = sc.make_lgm(0.0, 0.6, 1.0, [0.1, -0.2])
+    if grid.ndim == 1 and grid.size >= 3 and np.all(np.isfinite(grid)):
+        with pytest.raises(ValueError, match=message):
+            sc.path_space_asymptotic_variance(
+                model, sc.state_sum_functional(1), grid=grid
+            )
 
 
 def test_theory_bound_closed_forms():
