@@ -289,6 +289,8 @@ def cli_main(argv=None) -> int:
         sys.stderr.write(f"file not found: {exc.filename}\n")
         return 2
     except OSError as exc:
+        if exc.filename is None:  # not a file the user named, e.g. a broken pipe
+            raise
         sys.stderr.write(f"cannot use {exc.filename}: {exc.strerror}\n")
         return 2
     except ValueError as exc:

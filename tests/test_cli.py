@@ -202,6 +202,16 @@ def test_a_directory_in_place_of_a_file_is_a_usage_error(tmp_path, capsys):
         assert err.startswith(f"cannot use {folder}: ")
 
 
+def test_an_os_error_naming_no_file_is_not_a_usage_error(monkeypatch):
+    def broken_pipe(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("smoothcore.cli._cmd_generate", broken_pipe)
+    with pytest.raises(BrokenPipeError):
+        cli_main(["generate", "--model", "lgm", *LGM_FLAGS, "--horizon", "2",
+                  "--seed", "1"])
+
+
 def test_a_negative_particle_count_is_a_usage_error(tmp_path, capsys):
     data = tmp_path / "obs.csv"
     run_cli(capsys, "generate", "--model", "lgm", *LGM_FLAGS,
