@@ -94,6 +94,19 @@ BENCH_DIGESTS = {
     "fallback": "43d09c0b299ded443b43a20a5c80038597a6cc4f77e33facd8117498196a527b",
 }
 
+# the RejectionStats (proposals, accepted, fallbacks) of the rejection
+# draws above: one round (max_rejections=1) and the default sqrt(N) stop
+REJECTION_STATS = {
+    "lgm": {"fallback": (7200, 3977, 3223), "rejection": (15168, 7022, 178)},
+    "finite": {"fallback": (1000, 505, 495), "rejection": (2690, 941, 59)},
+    "bench": {"fallback": (4000, 2096, 1904)},
+}
+
+
+def counts(stats) -> tuple:
+    return stats.proposals, stats.accepted, stats.fallbacks
+
+
 VALUES = {
     "lgm": {
         "backward_0": 17.993171856782112,
@@ -140,15 +153,18 @@ def test_seeded_draws_and_rows_are_bit_identical(problem):
     fallback, stats = sc.ffbsi_rejection_sample_paths(
         history, model, n_paths, sc.make_rng(9), max_rejections=1, return_stats=True
     )
-    assert stats.fallbacks > 0
+    rejection, default_stats = sc.ffbsi_rejection_sample_paths(
+        history, model, n_paths, sc.make_rng(8), return_stats=True
+    )
+    assert {
+        "fallback": counts(stats), "rejection": counts(default_stats)
+    } == REJECTION_STATS[name]
     observed = {
         "positions": digest(history.positions),
         "direct": digest(
             sc.ffbsi_sample_paths(history, model, n_paths, sc.make_rng(7))
         ),
-        "rejection": digest(
-            sc.ffbsi_rejection_sample_paths(history, model, n_paths, sc.make_rng(8))
-        ),
+        "rejection": digest(rejection),
         "fallback": digest(fallback),
         "matrices": digest(
             np.stack(
@@ -169,7 +185,7 @@ def test_bench_size_draws_are_bit_identical():
     fallback, stats = sc.ffbsi_rejection_sample_paths(
         history, model, 1000, sc.make_rng(13), max_rejections=1, return_stats=True
     )
-    assert stats.fallbacks > 0
+    assert counts(stats) == REJECTION_STATS["bench"]["fallback"]
     observed = {
         "direct": digest(sc.ffbsi_sample_paths(history, model, 1000, sc.make_rng(12))),
         "fallback": digest(fallback),
