@@ -9,7 +9,8 @@ analyze     slopes (and optional bound overlays) from a variance table
 oracle      exact reference values (kalman / hmm / gamma)
 
 Exit codes: 0 on success, 1 when an estimator failed at runtime (a
-flagged grid row counts), 2 for usage or config errors.
+flagged grid row counts) or stdout closed early (nothing is printed),
+2 for usage or config errors.
 
 ``--zero-timings`` writes wall-clock columns as 0 so two runs of the
 same command are byte-identical; timings are the only nondeterministic
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError
@@ -302,7 +304,13 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:  # the reader stopped early: exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

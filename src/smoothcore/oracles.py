@@ -285,8 +285,9 @@ def path_space_asymptotic_variance(
     """Asymptotic variance constant of the genealogy-based estimator.
 
     Valid when the transition kernel does not depend on the source
-    state, so the filter at every step has a closed form.  For a lag 0
-    functional the constant is a double sum over time pairs of
+    state, so the filter at every step has a closed form: its predictive
+    law is the initial law at t = 0 and the kernel row after.  For a
+    lag 0 functional the constant is a double sum over time pairs of
     likelihood-ratio second moments times centered-term variances; the
     estimator's variance at N particles is approximately this value
     divided by N.
@@ -302,6 +303,11 @@ def path_space_asymptotic_variance(
             "the closed-form variance covers lag 0 functionals only"
         )
     horizon = functional.horizon
+    if horizon >= model.n_observations:
+        raise ValueError(
+            f"functional horizon {horizon} exceeds the {model.n_observations} "
+            "observation terms baked into the model"
+        )
 
     if model.finite is not None:
         data = model.finite
@@ -309,8 +315,6 @@ def path_space_asymptotic_variance(
             raise UnsupportedModelError(
                 "transition rows differ: the kernel depends on the source state"
             )
-        if horizon >= data.emissions.shape[0]:
-            raise ValueError("functional horizon exceeds the emission rows")
         support = np.arange(data.n_states)
         kernel = data.transition[0]
         initial = data.initial
@@ -337,40 +341,21 @@ def path_space_asymptotic_variance(
             for t in range(horizon + 1)
         ]
 
-    term_values = [
-        np.asarray(functional.term(t, support), dtype=float)
-        for t in range(horizon + 1)
-    ]
-
-    ratio_second_moment = np.empty(horizon + 1)
-    centered_variance = np.empty(horizon + 1)
-    centered_second_ratio = np.empty(horizon + 1)
-    centered_sq = []
+    # the time t law is the initial one at t = 0 and the kernel row after;
+    # running sums the centered variances of the steps before t
+    total = running = 0.0
     for t in range(horizon + 1):
+        law = kernel if t else initial
         g = likelihoods[t]
-        h = term_values[t]
-        mass = float(kernel @ g)
+        h = np.asarray(functional.term(t, support), dtype=float)
+        mass = float(law @ g)
         if mass <= 0.0:
             raise ValueError(f"zero predictive mass at t={t}")
-        filter_mean = float(kernel @ (g * h)) / mass
-        centered = (h - filter_mean) ** 2
-        centered_sq.append(centered)
-        ratio_second_moment[t] = float(kernel @ (g * g)) / (mass * mass)
-        centered_variance[t] = float(kernel @ (g * centered)) / mass
-        centered_second_ratio[t] = float(kernel @ (g * g * centered)) / (mass * mass)
-
-    initial_mass = float(initial @ likelihoods[0])
-    if initial_mass <= 0.0:
-        raise ValueError("zero initial likelihood mass")
-    initial_term = float(
-        initial @ (likelihoods[0] * likelihoods[0] * centered_sq[0])
-    ) / (initial_mass * initial_mass)
-
-    total = initial_term
-    running = 0.0
-    for t in range(1, horizon + 1):
-        running += centered_variance[t - 1]
-        total += ratio_second_moment[t] * running + centered_second_ratio[t]
+        centered = (h - float(law @ (g * h)) / mass) ** 2
+        ratio_second_moment = float(law @ (g * g)) / (mass * mass)
+        centered_second_ratio = float(law @ (g * g * centered)) / (mass * mass)
+        total += ratio_second_moment * running + centered_second_ratio
+        running += float(law @ (g * centered)) / mass
     return float(total)
 
 

@@ -9,9 +9,9 @@ smoothing distribution:
 * ``ffbs_forward_additive`` computes the same value with a forward-only
   recursion over per-particle running statistics (lags 0 and 1);
 * ``ffbsi_sample_paths`` / ``ffbsi_rejection_sample_paths`` draw index
-  trajectories backwards and average the functional along them, the
-  rejection variant replacing each O(N) row normalization with an
-  accept/reject step under the transition density's upper bound;
+  trajectories backwards through :meth:`BackwardKernel.sample`, the
+  rejection variant after accept/reject rounds under the transition
+  density's upper bound, and average the functional along them;
 * ``path_space_estimate`` never smooths at all: it propagates running
   sums through the filter's genealogy and reads off the weighted
   average at the final step.
@@ -473,6 +473,45 @@ class BackwardKernel:
         drawn[members] = starts[chunk] + (inner <= x).sum(axis=0)
         return drawn
 
+    def sample(
+        self,
+        targets: np.ndarray,
+        rng: np.random.Generator,
+        log_bound: float | None = None,
+        max_rounds: int | None = None,
+    ) -> tuple[np.ndarray, int, int]:
+        """One time t index per target from its row, with the number of
+        proposals and of exact draws.  With ``log_bound``, the log of an
+        upper bound on the transition density, accept/reject rounds come
+        first, as :func:`ffbsi_rejection_sample_paths` describes, with
+        ``max_rounds`` for its ``max_rejections``; the targets they leave
+        pending, or all of them without ``log_bound``, go to :meth:`draw`."""
+        if log_bound is None:
+            return self.draw(targets, rng.random(targets.size)), 0, targets.size
+        drawn = np.empty(targets.size, dtype=np.int64)
+        pending = np.arange(targets.size)
+        proposals = rounds = 0
+        # the rounds stop once at most this many targets are pending
+        stragglers = math.isqrt(self.positions.shape[0]) if max_rounds is None else 0
+        cdf = categorical_cdf(exp_normalize(self.log_weights))
+        successors = self.next_positions[targets]
+        while True:
+            candidates = np.searchsorted(cdf, rng.random(pending.size), side="right")
+            log_density = self.model.transition_log_density(
+                self.positions[candidates], successors[pending]
+            )
+            ratio = np.exp(np.asarray(log_density, dtype=float) - log_bound)
+            accept = rng.random(pending.size) < ratio
+            proposals += pending.size
+            drawn[pending[accept]] = candidates[accept]
+            pending = pending[~accept]
+            rounds += 1
+            if pending.size <= stragglers or rounds == max_rounds:
+                break
+        if pending.size:
+            drawn[pending] = self.draw(targets[pending], rng.random(pending.size))
+        return drawn, proposals, pending.size
+
     def rows(self, targets: np.ndarray | None = None) -> np.ndarray:
         """The rows of the given targets (default: every time t+1
         particle) as a (targets, N) array."""
@@ -673,6 +712,32 @@ def ffbs_forward_additive(
     )
 
 
+def _sample_paths(
+    history: ParticleHistory,
+    model: StateSpaceModel,
+    n_paths: int,
+    rng: np.random.Generator,
+    log_bound: float | None = None,
+    max_rounds: int | None = None,
+) -> tuple[np.ndarray, RejectionStats]:
+    """The paths of both FFBSi samplers, with their :class:`RejectionStats`."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    horizon = history.horizon
+    paths = np.empty((n_paths, horizon + 1), dtype=np.int64)
+    final_weights = normalized_weights(history, horizon)
+    paths[:, horizon] = categorical_indices(final_weights, rng.random(n_paths))
+    proposals = exact = 0
+    for t in range(horizon - 1, -1, -1):
+        paths[:, t], made, sent = _kernel(history, model, t).sample(
+            paths[:, t + 1], rng, log_bound, max_rounds
+        )
+        proposals += made
+        exact += sent
+    # every draw not sent to the exact row was accepted
+    return paths, RejectionStats(proposals, n_paths * horizon - exact, exact)
+
+
 def ffbsi_sample_paths(
     history: ParticleHistory,
     model: StateSpaceModel,
@@ -685,17 +750,7 @@ def ffbsi_sample_paths(
     index is drawn from the backward row of its successor.  Returns an
     ``(n_paths, T+1)`` int array.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    horizon = history.horizon
-    paths = np.empty((n_paths, horizon + 1), dtype=np.int64)
-    final_weights = normalized_weights(history, horizon)
-    paths[:, horizon] = categorical_indices(final_weights, rng.random(n_paths))
-    for t in range(horizon - 1, -1, -1):
-        paths[:, t] = _kernel(history, model, t).draw(
-            paths[:, t + 1], rng.random(n_paths)
-        )
-    return paths
+    return _sample_paths(history, model, n_paths, rng)[0]
 
 
 def ffbsi_rejection_sample_paths(
@@ -724,8 +779,6 @@ def ffbsi_rejection_sample_paths(
     Requires the model to carry an upper bound ``mixing_bounds.sigma_plus``.
     With ``return_stats=True`` also returns a :class:`RejectionStats`.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     bounds = model.mixing_bounds
     if bounds is None:
         raise UnsupportedModelError(
@@ -734,57 +787,10 @@ def ffbsi_rejection_sample_paths(
         )
     if max_rejections is not None and max_rejections < 1:
         raise ValueError(f"max_rejections must be >= 1, got {max_rejections}")
-    # a step stops once at most this many targets are pending (or after
-    # max_rejections rounds)
-    stragglers = math.isqrt(history.n_particles) if max_rejections is None else 0
-    log_sigma_plus = math.log(bounds.sigma_plus)
-
-    horizon = history.horizon
-    paths = np.empty((n_paths, horizon + 1), dtype=np.int64)
-    final_weights = normalized_weights(history, horizon)
-    paths[:, horizon] = categorical_indices(final_weights, rng.random(n_paths))
-
-    proposals_made = 0
-    fallback_count = 0
-
-    for t in range(horizon - 1, -1, -1):
-        cdf = categorical_cdf(normalized_weights(history, t))
-        sources = history.positions[t]
-        successors = history.positions[t + 1][paths[:, t + 1]]
-
-        drawn = np.empty(n_paths, dtype=np.int64)
-        pending = np.arange(n_paths)
-        rounds = 0
-        while True:
-            candidates = np.searchsorted(cdf, rng.random(pending.size), side="right")
-            log_density = np.asarray(
-                model.transition_log_density(
-                    sources[candidates], successors[pending]
-                ),
-                dtype=float,
-            )
-            accept = rng.random(pending.size) < np.exp(log_density - log_sigma_plus)
-            proposals_made += pending.size
-            drawn[pending[accept]] = candidates[accept]
-            pending = pending[~accept]
-            rounds += 1
-            if pending.size <= stragglers or rounds == max_rejections:
-                break
-        if pending.size:
-            fallback_count += pending.size
-            drawn[pending] = _kernel(history, model, t).draw(
-                paths[pending, t + 1], rng.random(pending.size)
-            )
-        paths[:, t] = drawn
-
-    if return_stats:
-        return paths, RejectionStats(
-            proposals=proposals_made,
-            # every draw not sent to the exact row was accepted
-            accepted=n_paths * horizon - fallback_count,
-            fallbacks=fallback_count,
-        )
-    return paths
+    paths, stats = _sample_paths(
+        history, model, n_paths, rng, math.log(bounds.sigma_plus), max_rejections
+    )
+    return (paths, stats) if return_stats else paths
 
 
 def ffbsi_estimate(

@@ -384,6 +384,23 @@ def test_oracle_kalman_refuses_a_nonfinite_observation(tmp_path, capsys):
         ) == (2, "", message)
 
 
+def test_a_closed_stdout_exits_quietly():
+    # the reader stops after a few bytes, like `head -c 10`; the output
+    # (about 1 MB) is far larger than a pipe's buffer
+    env = dict(os.environ, PYTHONPATH=str(Path(sc.__file__).parents[1]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "smoothcore.cli", "generate", "--model", "lgm",
+         "--phi", "0.9", "--sigma-u", "0.6", "--sigma-v", "1",
+         "--horizon", "20000", "--seed", "1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert process.stdout.read(10) == b"t,x_true,y"
+    process.stdout.close()
+    _, stderr = process.communicate(timeout=60)
+    assert process.returncode == 1
+    assert stderr == b""
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(sc.__file__).parents[1]))
 

@@ -220,9 +220,10 @@ def test_asymptotic_variance_hand_frozen_two_step_value():
     P = np.array([[0.5, 0.5], [0.5, 0.5]])
     model = sc.make_finite_hmm(P, E, np.array([0.6, 0.4]))
     value = sc.path_space_asymptotic_variance(model, sc.state_sum_functional(1))
-    # by hand: D0 = 16/121, A1 B0 = (106/81)(24/121), C1 = 784/6561,
-    # summing to 405904/793881, about 0.51129
-    assert value == pytest.approx(405904 / 793881, rel=1e-12)
+    # by hand, time 0 under the initial law (0.6, 0.4) and time 1 under
+    # the kernel row: D0 = 8/75, A1 B0 = (106/81)(4/25), C1 = 784/6561,
+    # summing to 14288/32805, about 0.43554
+    assert value == pytest.approx(14288 / 32805, rel=1e-12)
 
 
 def test_asymptotic_variance_vanishes_for_constant_terms():
@@ -240,9 +241,9 @@ def test_asymptotic_variance_single_step_is_the_initial_term():
     data = model.finite
     g = data.emissions[0]
     h = np.arange(2.0)
-    kernel = data.transition[0]
-    centered = (h - (kernel @ (g * h)) / (kernel @ g)) ** 2
-    expected = (data.initial @ (g * g * centered)) / (data.initial @ g) ** 2
+    initial = data.initial
+    centered = (h - (initial @ (g * h)) / (initial @ g)) ** 2
+    expected = (initial @ (g * g * centered)) / (initial @ g) ** 2
     value = sc.path_space_asymptotic_variance(model, sc.state_sum_functional(0))
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -323,6 +324,13 @@ def test_asymptotic_variance_rejects_unsupported_inputs():
     with pytest.raises(sc.UnsupportedModelError):
         # no grid supplied for a continuous model
         sc.path_space_asymptotic_variance(flat, sc.state_sum_functional(3))
+    # a functional longer than the data, on either support
+    with pytest.raises(ValueError, match="functional horizon 30 exceeds the 4"):
+        sc.path_space_asymptotic_variance(
+            flat, sc.state_sum_functional(30), grid=sc.quadrature_grid(0.0, 0.6)
+        )
+    with pytest.raises(ValueError, match="functional horizon 4 exceeds the 4"):
+        sc.path_space_asymptotic_variance(model, sc.state_sum_functional(4))
 
 
 def test_quadrature_grid_shape_and_validation():

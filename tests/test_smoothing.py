@@ -246,6 +246,46 @@ def test_kernel_draw_ends_land_on_the_outer_sources_of_positive_mass(
     )
 
 
+@pytest.mark.parametrize("rounds", [None, 1, "default"])
+def test_kernel_sample_draws_any_target_array_from_its_rows(rounds):
+    # targets that repeat, come out of order and cover only part of the
+    # time t+1 cloud, as a forward-only smoother would pass them
+    rng = sc.make_rng(171)
+    P = rng.uniform(0.2, 1.0, size=(3, 3))
+    P /= P.sum(axis=1, keepdims=True)
+    model = sc.make_finite_hmm(P, np.ones((2, 3)), np.full(3, 1.0 / 3.0))
+    n = 12
+    kernel = smoothing.BackwardKernel(
+        model, 0, rng.integers(0, 3, n), rng.normal(size=n), rng.integers(0, 3, 10)
+    )
+    per_target = 8000
+    targets = rng.permutation(np.repeat([7, 2, 5, 9], per_target))
+    if rounds is None:
+        drawn, proposals, exact = kernel.sample(targets, sc.make_rng(172))
+        assert (proposals, exact) == (0, targets.size)
+    else:
+        log_bound = math.log(model.mixing_bounds.sigma_plus)
+        max_rounds = 1 if rounds == 1 else None
+        drawn, proposals, exact = kernel.sample(
+            targets, sc.make_rng(172), log_bound, max_rounds
+        )
+        if max_rounds == 1:
+            # one proposal per target: those not sent to the exact draw
+            # were accepted, and some of each
+            assert proposals == targets.size
+            assert 0 < exact < targets.size
+        else:
+            assert proposals > targets.size and exact <= math.isqrt(n)
+    matrix = kernel.rows(np.array([7, 2, 5, 9]))
+    statistic = 0.0
+    for target, row in zip([7, 2, 5, 9], matrix):
+        counts = np.bincount(drawn[targets == target], minlength=n)
+        assert np.all(counts[row == 0.0] == 0)
+        expected = per_target * row
+        statistic += np.sum((counts - expected) ** 2 / expected)
+    assert stats.chi2.sf(statistic, 4 * (n - 1)) > 1e-3
+
+
 def test_draws_in_parts_match_one_search(monkeypatch):
     # a search budget of a few draws splits one step's targets into parts
     kernel = draw_kernel(monkeypatch, "binned", 7)
