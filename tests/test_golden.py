@@ -70,6 +70,7 @@ DIGESTS = {
         "direct": "7cf9d238f3ffe0011043a8b92dfd8cf25bd478ddf4a7b6216cafe6652103afd4",
         "rejection": "d3dc25e3183f089dccdaef9a5e1fcfc831f74617dbd068f5a4ea36fdc835a562",
         "fallback": "f45a517eee91b8b9aff097f3f8c452c71973f8ec6401f997a87546ae297bee22",
+        "rounds_3": "ea595761f6ebc8f685c09404fdc672c3f12c38c7b68425006e768d73c14d723a",
         "matrices": "ec14c14380ab0ea39cd749eaac87fdf5af8317e5235bd015c565953c65418efd",
     },
     "finite": {
@@ -77,6 +78,7 @@ DIGESTS = {
         "direct": "bc1d81559872040f4aff9a87391e0ed1ab30e375a253d03d31332d753400a506",
         "rejection": "43dcec732447d0eae28e4500b0f1a22874c8809c6ca3c1f48acfaa01399cd78f",
         "fallback": "c77b2666148cce8737980bbe5ee265be954d0dce2127e0d8729ab80ec377622a",
+        "rounds_3": "f246450f6a334648f15cb62074f58459c70ad102f37c9ca5b9679752c8e9904d",
         "matrices": "fd19e03a29dfc6210034c22432a5c316b24220ebed48c74b375be8cab9632142",
     },
 }
@@ -95,10 +97,19 @@ BENCH_DIGESTS = {
 }
 
 # the RejectionStats (proposals, accepted, fallbacks) of the rejection
-# draws above: one round (max_rejections=1) and the default sqrt(N) stop
+# draws above: one round (max_rejections=1), three rounds
+# (max_rejections=3) and the default stop
 REJECTION_STATS = {
-    "lgm": {"fallback": (7200, 3977, 3223), "rejection": (15168, 7022, 178)},
-    "finite": {"fallback": (1000, 505, 495), "rejection": (2690, 941, 59)},
+    "lgm": {
+        "fallback": (7200, 3977, 3223),
+        "rounds_3": (12229, 6183, 1017),
+        "rejection": (15168, 7022, 178),
+    },
+    "finite": {
+        "fallback": (1000, 505, 495),
+        "rounds_3": (1842, 754, 246),
+        "rejection": (2690, 941, 59),
+    },
     "bench": {"fallback": (4000, 2096, 1904)},
 }
 
@@ -153,11 +164,16 @@ def test_seeded_draws_and_rows_are_bit_identical(problem):
     fallback, stats = sc.ffbsi_rejection_sample_paths(
         history, model, n_paths, sc.make_rng(9), max_rejections=1, return_stats=True
     )
+    rounds_3, rounds_3_stats = sc.ffbsi_rejection_sample_paths(
+        history, model, n_paths, sc.make_rng(10), max_rejections=3, return_stats=True
+    )
     rejection, default_stats = sc.ffbsi_rejection_sample_paths(
         history, model, n_paths, sc.make_rng(8), return_stats=True
     )
     assert {
-        "fallback": counts(stats), "rejection": counts(default_stats)
+        "fallback": counts(stats),
+        "rounds_3": counts(rounds_3_stats),
+        "rejection": counts(default_stats),
     } == REJECTION_STATS[name]
     observed = {
         "positions": digest(history.positions),
@@ -166,6 +182,7 @@ def test_seeded_draws_and_rows_are_bit_identical(problem):
         ),
         "rejection": digest(rejection),
         "fallback": digest(fallback),
+        "rounds_3": digest(rounds_3),
         "matrices": digest(
             np.stack(
                 [sc.backward_matrix(history, model, t) for t in range(history.horizon)]
