@@ -11,7 +11,8 @@ smoothing distribution:
 * ``ffbsi_sample_paths`` / ``ffbsi_rejection_sample_paths`` draw index
   trajectories backwards through :meth:`BackwardKernel.sample`, the
   rejection variant after accept/reject rounds under the transition
-  density's upper bound, and average the functional along them;
+  density's upper bound that stop once the targets left hold at most
+  sqrt(N) distinct states, and average the functional along them;
 * ``path_space_estimate`` never smooths at all: it propagates running
   sums through the filter's genealogy and reads off the weighted
   average at the final step.
@@ -484,21 +485,25 @@ class BackwardKernel:
         proposals and of exact draws.  With ``log_bound``, the log of an
         upper bound on the transition density, accept/reject rounds come
         first, as :func:`ffbsi_rejection_sample_paths` describes, with
-        ``max_rounds`` for its ``max_rejections``; the targets they leave
-        pending, or all of them without ``log_bound``, go to :meth:`draw`."""
+        ``max_rounds`` for its ``max_rejections``.  By default they stop
+        once the pending targets hold at most isqrt(N) distinct states or
+        a round accepts none.  The targets they leave pending, or all of
+        them without ``log_bound``, go to :meth:`draw`."""
         if log_bound is None:
             return self.draw(targets, rng.random(targets.size)), 0, targets.size
         drawn = np.empty(targets.size, dtype=np.int64)
         pending = np.arange(targets.size)
         proposals = rounds = 0
-        # the rounds stop once at most this many targets are pending
-        stragglers = math.isqrt(self.positions.shape[0]) if max_rounds is None else 0
+        # by default the rounds stop once the pending targets hold at most
+        # this many distinct states, the rows the exact draw then builds
+        stragglers = math.isqrt(self.positions.shape[0])
         cdf = categorical_cdf(exp_normalize(self.log_weights))
         successors = self.next_positions[targets]
         while True:
             candidates = np.searchsorted(cdf, rng.random(pending.size), side="right")
+            states = successors[pending]
             log_density = self.model.transition_log_density(
-                self.positions[candidates], successors[pending]
+                self.positions[candidates], states
             )
             ratio = np.exp(np.asarray(log_density, dtype=float) - log_bound)
             accept = rng.random(pending.size) < ratio
@@ -506,8 +511,23 @@ class BackwardKernel:
             drawn[pending[accept]] = candidates[accept]
             pending = pending[~accept]
             rounds += 1
-            if pending.size <= stragglers or rounds == max_rounds:
+            if max_rounds is not None:
+                if not pending.size or rounds == max_rounds:
+                    break
+            elif pending.size <= stragglers or pending.size == states.size:
+                # few targets left, or a round that accepted none: each
+                # further round removes a target, so the rounds end
                 break
+            else:
+                states = states[~accept]
+                if rounds == 1:
+                    # one stable sort per step: from here on the pending
+                    # targets stay in order of state, so neighbours tell
+                    # the distinct states apart, as _blocks does
+                    order = np.argsort(states, kind="stable")
+                    pending, states = pending[order], states[order]
+                if np.count_nonzero(states[1:] != states[:-1]) < stragglers:
+                    break
         if pending.size:
             drawn[pending] = self.draw(targets[pending], rng.random(pending.size))
         return drawn, proposals, pending.size
@@ -768,13 +788,16 @@ def ffbsi_rejection_sample_paths(
     backward row without normalizing it (Douc, Garivier, Moulines &
     Olsson 2011).  Each step runs vectorised rounds, one proposal per
     pending target, and sends the targets still pending when it stops
-    to the exact row draw.  By default a step stops after the first
-    round that leaves at most sqrt(N) targets pending, so the exact
-    draws cost at most N^{3/2} kernel pairs per step; an explicit
-    ``max_rejections=k`` instead stops after k rounds or when none is
-    pending.  Either way the stop depends only on accept/reject
-    outcomes, and an accepted index follows its row whatever the round,
-    so the paths follow the backward law exactly.
+    to the exact row draw, which builds one row per distinct state.  By
+    default a step stops after the first round that leaves pending
+    targets holding at most sqrt(N) distinct states, so the exact draw
+    costs at most N^{3/2} kernel pairs, or after a round that accepts
+    none, so the rounds end even when no proposal can be accepted.  An
+    explicit ``max_rejections=k`` instead stops after k rounds or when
+    none is pending.  Either way the stop depends only on accept/reject
+    outcomes and the fixed target states, and an accepted index follows
+    its row whatever the round, so the paths follow the backward law
+    exactly.
 
     Requires the model to carry an upper bound ``mixing_bounds.sigma_plus``.
     With ``return_stats=True`` also returns a :class:`RejectionStats`.

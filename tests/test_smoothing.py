@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,15 @@ from bruteforce import (
     path_functional_value,
     trajectory_probabilities,
 )
-from conftest import B2, CHI2, P2, chi_square_pvalue, make_history, run_hmm_filter
+from conftest import (
+    B2,
+    CHI2,
+    P2,
+    chi_square_pvalue,
+    make_history,
+    random_hmm,
+    run_hmm_filter,
+)
 from smoothcore import smoothing
 from smoothcore.models import categorical_rows
 
@@ -246,8 +258,64 @@ def test_kernel_draw_ends_land_on_the_outer_sources_of_positive_mass(
     )
 
 
+def sample_records(monkeypatch):
+    """Record every :meth:`BackwardKernel.sample` call with rounds as
+    ``(N, distinct states the pending targets hold before each round,
+    distinct states sent to the exact draw, whether the last round
+    accepted none)``."""
+    records = []
+    sample, draw = smoothing.BackwardKernel.sample, smoothing.BackwardKernel.draw
+
+    def recorded(kernel, targets, rng, *rounds):
+        sizes, pending, exact = [], [], []
+        density = kernel.model.transition_log_density
+
+        class Recording:
+            def random(self, size):
+                sizes.append(size)
+                return rng.random(size)
+
+        def recording_density(sources, states):
+            pending.append(np.unique(states).size)
+            return density(sources, states)
+
+        def recording_draw(targets, uniforms):
+            exact.append(np.unique(kernel.next_positions[targets]).size)
+            return draw(kernel, targets, uniforms)
+
+        kernel.model = dataclasses.replace(
+            kernel.model, transition_log_density=recording_density
+        )
+        kernel.draw = recording_draw
+        drawn, proposals, sent = sample(kernel, targets, Recording(), *rounds)
+        if proposals:
+            # each round takes a proposal and an acceptance uniform per
+            # pending target, and then calls the density once; the exact
+            # draw takes one uniform per target it draws
+            n_rounds = len(sizes) // 2
+            stalled = bool(sent) and sizes[-3] == sizes[-1]
+            records.append(
+                (kernel.positions.shape[0], pending[:n_rounds], sum(exact), stalled)
+            )
+        return drawn, proposals, sent
+
+    monkeypatch.setattr(smoothing.BackwardKernel, "sample", recorded)
+    return records
+
+
+def within_the_default_stop(records):
+    """The rounds of each step go on while the pending targets hold more
+    than isqrt(N) distinct states, and the exact draw gets at most that
+    many unless the last round accepted no target."""
+    return records and all(
+        all(states > math.isqrt(n) for states in rounds[1:])
+        and (exact <= math.isqrt(n) or stalled)
+        for n, rounds, exact, stalled in records
+    )
+
+
 @pytest.mark.parametrize("rounds", [None, 1, "default"])
-def test_kernel_sample_draws_any_target_array_from_its_rows(rounds):
+def test_kernel_sample_draws_any_target_array_from_its_rows(monkeypatch, rounds):
     # targets that repeat, come out of order and cover only part of the
     # time t+1 cloud, as a forward-only smoother would pass them
     rng = sc.make_rng(171)
@@ -266,6 +334,7 @@ def test_kernel_sample_draws_any_target_array_from_its_rows(rounds):
     else:
         log_bound = math.log(model.mixing_bounds.sigma_plus)
         max_rounds = 1 if rounds == 1 else None
+        records = sample_records(monkeypatch)
         drawn, proposals, exact = kernel.sample(
             targets, sc.make_rng(172), log_bound, max_rounds
         )
@@ -275,7 +344,10 @@ def test_kernel_sample_draws_any_target_array_from_its_rows(rounds):
             assert proposals == targets.size
             assert 0 < exact < targets.size
         else:
-            assert proposals > targets.size and exact <= math.isqrt(n)
+            # the rounds stop once the pending targets hold at most
+            # isqrt(n) distinct states
+            assert proposals >= targets.size
+            assert within_the_default_stop(records)
     matrix = kernel.rows(np.array([7, 2, 5, 9]))
     statistic = 0.0
     for target, row in zip([7, 2, 5, 9], matrix):
@@ -743,17 +815,85 @@ def test_rejection_needs_mixing_bounds():
         )
 
 
-def test_gaussian_rejection_sampler_law_matches_enumeration():
+def test_gaussian_rejection_sampler_law_matches_enumeration(monkeypatch):
     # sigma_plus is the exact kernel peak; with 50k paths over N = 3
-    # particles a step stops once at most isqrt(3) = 1 target is pending
+    # particles a step stops once the pending targets hold at most
+    # isqrt(3) = 1 distinct state
     model, history = lgm_case(horizon=2, n_particles=3, seed=62)
     assert model.mixing_bounds.sigma_plus == 1.0 / (0.6 * math.sqrt(2.0 * math.pi))
     probs = trajectory_probabilities(history, model)
+    records = sample_records(monkeypatch)
     paths, counters = sc.ffbsi_rejection_sample_paths(
         history, model, 50_000, sc.make_rng(162), return_stats=True
     )
     assert chi_square_pvalue(paths, probs, 3) > 0.001
-    assert 0 < counters.fallbacks <= 2 * math.isqrt(3)
+    assert counters.fallbacks > 0
+    assert within_the_default_stop(records)
+
+
+@pytest.mark.parametrize("case", ["lgm", "finite"])
+def test_default_stop_sends_at_most_sqrt_n_states_to_the_exact_draw(monkeypatch, case):
+    if case == "lgm":
+        model, history = lgm_case(horizon=30, n_particles=100, seed=63)
+    else:
+        model = sc.make_finite_hmm(*random_hmm(sc.make_rng(64), 4, 30))
+        history = run_hmm_filter(model, 100, 30, seed=65)
+    records = sample_records(monkeypatch)
+    _, counters = sc.ffbsi_rejection_sample_paths(
+        history, model, 300, sc.make_rng(66), return_stats=True
+    )
+    assert counters.fallbacks > 0
+    assert within_the_default_stop(records)
+
+
+def test_one_hard_target_state_ends_the_rounds_at_once():
+    # 40 copies of one target far out in the tail of every source's
+    # kernel, each proposal accepted with probability about 1e-4: the
+    # exact draw builds one row for them, so one round is all the step runs
+    n = 100
+    model = sc.make_lgm(0.9, 0.6, 1.0, np.zeros(2))
+    positions = sc.make_rng(67).normal(0.0, 0.05, size=n)
+    targets = np.zeros(40, dtype=np.int64)
+    kernel = smoothing.BackwardKernel(model, 0, positions, np.zeros(n), np.array([2.6]))
+    log_bound = math.log(model.mixing_bounds.sigma_plus)
+    acceptance = np.exp(model.transition_log_density(positions, 2.6) - log_bound)
+    assert 1e-5 < acceptance.mean() < 1e-3
+    drawn, proposals, exact = kernel.sample(targets, sc.make_rng(68), log_bound)
+    assert proposals == targets.size and 0 < exact <= targets.size
+    assert drawn.min() >= 0 and drawn.max() < n
+
+
+def test_rejection_rounds_end_when_every_acceptance_underflows():
+    # every transition density from the sources at 0 into targets at
+    # 100-102 underflows, so no proposal can be accepted; the rounds stop
+    # after one that accepts none and the exact draw takes every target
+    script = """
+import math
+import numpy as np
+import smoothcore as sc
+from smoothcore.smoothing import BackwardKernel
+
+model = sc.make_lgm(0.9, 0.6, 1.0, np.zeros(2))
+kernel = BackwardKernel(
+    model, 0, np.zeros(4), np.zeros(4), np.repeat([100.0, 101.0, 102.0], 5)
+)
+drawn, proposals, exact = kernel.sample(
+    np.arange(15), sc.make_rng(1), math.log(model.mixing_bounds.sigma_plus)
+)
+print(proposals, exact, int(drawn.min()), int(drawn.max()))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(sc.__file__).parents[1]))
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("the rejection rounds did not end")
+    assert run.returncode == 0, run.stderr
+    proposals, exact, low, high = map(int, run.stdout.split())
+    assert (proposals, exact) == (15, 15)
+    assert 0 <= low <= high < 4
 
 
 def test_marginal_law_on_identity_kernel():
