@@ -68,7 +68,7 @@ DIGESTS = {
     "lgm": {
         "positions": "d78f12cd6b4b72ea1dbeb64ecbd375f882fd2a048975aa1ac183c6082e908dee",
         "direct": "7cf9d238f3ffe0011043a8b92dfd8cf25bd478ddf4a7b6216cafe6652103afd4",
-        "rejection": "d3dc25e3183f089dccdaef9a5e1fcfc831f74617dbd068f5a4ea36fdc835a562",
+        "rejection": "97fe04a870536bc3eddeb06ece171b83c5073ad9e76b99e03060ad1fe7361f32",
         "fallback": "f45a517eee91b8b9aff097f3f8c452c71973f8ec6401f997a87546ae297bee22",
         "rounds_3": "ea595761f6ebc8f685c09404fdc672c3f12c38c7b68425006e768d73c14d723a",
         "matrices": "ec14c14380ab0ea39cd749eaac87fdf5af8317e5235bd015c565953c65418efd",
@@ -76,7 +76,7 @@ DIGESTS = {
     "finite": {
         "positions": "15e418b91ebdd591d4a530ce56c49560284de81fdbf0ee7738310643047a2b74",
         "direct": "bc1d81559872040f4aff9a87391e0ed1ab30e375a253d03d31332d753400a506",
-        "rejection": "43dcec732447d0eae28e4500b0f1a22874c8809c6ca3c1f48acfaa01399cd78f",
+        "rejection": "3ee4ee534fd61344b9a1398c9ac1b1bc7f487c19c532e5990e1d0d4118df3cb3",
         "fallback": "c77b2666148cce8737980bbe5ee265be954d0dce2127e0d8729ab80ec377622a",
         "rounds_3": "f246450f6a334648f15cb62074f58459c70ad102f37c9ca5b9679752c8e9904d",
         "matrices": "fd19e03a29dfc6210034c22432a5c316b24220ebed48c74b375be8cab9632142",
@@ -103,12 +103,12 @@ REJECTION_STATS = {
     "lgm": {
         "fallback": (7200, 3977, 3223),
         "rounds_3": (12229, 6183, 1017),
-        "rejection": (15168, 7022, 178),
+        "rejection": (14559, 6972, 228),
     },
     "finite": {
         "fallback": (1000, 505, 495),
         "rounds_3": (1842, 754, 246),
-        "rejection": (2690, 941, 59),
+        "rejection": (1000, 477, 523),
     },
     "bench": {"fallback": (4000, 2096, 1904)},
 }
@@ -237,7 +237,7 @@ GRID_PAYLOAD_DIGESTS = {
 }
 
 # the zero-timings variance table of family_grid("svm")
-SVM_TABLE_DIGEST = "75a36c292cb777a6c361184e39b650fd39417565c6bc925bf60ffa4653e5bba7"
+SVM_TABLE_DIGEST = "9f1e086070770a64fce8dc431836fe7bd5fcd503bd021106ec54e395afc71cb2"
 
 
 # run_filter with the bootstrap proposal on each family's data simulated
@@ -406,7 +406,7 @@ CLI_DIGESTS = {
         "3dc29ffccc7fd74070e4b72a14b80c92a616672036449fd13d46f5818e567798"
     ),
     "ffbsi_rejection": (
-        "a204c1a09ce4793915bf963c93ba49e05e305664ab5fb59595759d042571f031"
+        "6853faf0d37bae425c51d75675b39e10c7e2418d733e745bf25f4be4a6cc5f88"
     ),
     "path_space": (
         "88aa2dedaca1cdde7252fee126c5400b73c6824bc2ea29bb09468f84d9820157"
