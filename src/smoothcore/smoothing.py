@@ -515,8 +515,9 @@ class BackwardKernel:
                 if not pending.size or rounds == max_rounds:
                     break
             elif pending.size <= stragglers or pending.size == states.size:
-                # few targets left, or a round that accepted none: each
-                # further round removes a target, so the rounds end
+                # at most isqrt(N) targets hold at most that many states;
+                # a round that accepted none ends the rounds, so they end
+                # even where no proposal can be accepted
                 break
             else:
                 states = states[~accept]
