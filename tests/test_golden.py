@@ -94,6 +94,7 @@ SIMULATED_DIGEST = (
 BENCH_DIGESTS = {
     "direct": "9c8de84f1d2ccd6c888afa2f39e403a58a5a63d5b5c8a91f16eecf9a4848fdbb",
     "fallback": "43d09c0b299ded443b43a20a5c80038597a6cc4f77e33facd8117498196a527b",
+    "rejection": "bf83464eb3bf82725ddf70e9b77e8f5b6e9bb5907858800b2aa250d9c493a8c6",
 }
 
 # the RejectionStats (proposals, accepted, fallbacks) of the rejection
@@ -110,7 +111,7 @@ REJECTION_STATS = {
         "rounds_3": (1842, 754, 246),
         "rejection": (1000, 477, 523),
     },
-    "bench": {"fallback": (4000, 2096, 1904)},
+    "bench": {"fallback": (4000, 2096, 1904), "rejection": (8535, 3867, 133)},
 }
 
 
@@ -202,10 +203,17 @@ def test_bench_size_draws_are_bit_identical():
     fallback, stats = sc.ffbsi_rejection_sample_paths(
         history, model, 1000, sc.make_rng(13), max_rejections=1, return_stats=True
     )
-    assert counts(stats) == REJECTION_STATS["bench"]["fallback"]
+    rejection, default_stats = sc.ffbsi_rejection_sample_paths(
+        history, model, 1000, sc.make_rng(14), return_stats=True
+    )
+    assert {
+        "fallback": counts(stats),
+        "rejection": counts(default_stats),
+    } == REJECTION_STATS["bench"]
     observed = {
         "direct": digest(sc.ffbsi_sample_paths(history, model, 1000, sc.make_rng(12))),
         "fallback": digest(fallback),
+        "rejection": digest(rejection),
     }
     assert observed == BENCH_DIGESTS
 
