@@ -530,8 +530,11 @@ def fit_bound_scale(
     each row's own lag r.
 
     The bound's constant is existential, so overlays fit this single
-    scale and compare shapes only.
+    scale and compare shapes only.  The oscillation must be positive and
+    finite, or no scale fits.
     """
+    if not 0.0 < oscillation < math.inf:
+        raise ValueError(f"oscillation must be positive and finite, got {oscillation}")
     rows = [
         row
         for row in table.rows

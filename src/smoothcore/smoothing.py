@@ -12,7 +12,8 @@ smoothing distribution:
   trajectories backwards through :meth:`BackwardKernel.sample`, the
   rejection variant after accept/reject rounds under the transition
   density's upper bound that stop once the targets left hold at most
-  sqrt(N) distinct states, and average the functional along them;
+  sqrt(N) distinct states or a round accepts none, and average the
+  functional along them;
 * ``path_space_estimate`` never smooths at all: it propagates running
   sums through the filter's genealogy and reads off the weighted
   average at the final step.
@@ -479,56 +480,58 @@ class BackwardKernel:
         targets: np.ndarray,
         rng: np.random.Generator,
         log_bound: float | None = None,
-        max_rounds: int | None = None,
     ) -> tuple[np.ndarray, int, int]:
         """One time t index per target from its row, with the number of
         proposals and of exact draws.  With ``log_bound``, the log of an
         upper bound on the transition density, accept/reject rounds come
-        first, as :func:`ffbsi_rejection_sample_paths` describes, with
-        ``max_rounds`` for its ``max_rejections``.  By default they stop
-        once the pending targets hold at most isqrt(N) distinct states or
-        a round accepts none.  The targets they leave pending, or all of
-        them without ``log_bound``, go to :meth:`draw`."""
+        first, as :func:`ffbsi_rejection_sample_paths` describes: they
+        stop once the pending targets hold at most isqrt(N) distinct
+        states or a round accepts none.  The targets they leave pending,
+        or all of them without ``log_bound``, go to :meth:`draw`."""
         if log_bound is None:
             return self.draw(targets, rng.random(targets.size)), 0, targets.size
         drawn = np.empty(targets.size, dtype=np.int64)
+        # each pending target's place in `targets`, and its state
         pending = np.arange(targets.size)
-        proposals = rounds = 0
-        # by default the rounds stop once the pending targets hold at most
-        # this many distinct states, the rows the exact draw then builds
+        states = self.next_positions[targets]
+        proposals = 0
+        # the rounds stop once the pending targets hold at most this many
+        # distinct states, the rows the exact draw then builds
         stragglers = math.isqrt(self.positions.shape[0])
         cdf = categorical_cdf(exp_normalize(self.log_weights))
-        successors = self.next_positions[targets]
         while True:
             candidates = np.searchsorted(cdf, rng.random(pending.size), side="right")
-            states = successors[pending]
             log_density = self.model.transition_log_density(
                 self.positions[candidates], states
             )
-            ratio = np.exp(np.asarray(log_density, dtype=float) - log_bound)
-            accept = rng.random(pending.size) < ratio
+            excess = np.asarray(log_density, dtype=float) - log_bound
+            # a bound below the density accepts with min(1, ratio), which
+            # is not the row; at the density's exact peak, rounding leaves
+            # an excess of about 1e-16
+            if excess.size and excess.max() > 1e-12:
+                raise ValueError(
+                    f"the transition density at t={self.t} exceeds sigma_plus "
+                    f"= {math.exp(log_bound)!r} by a factor of "
+                    f"{math.exp(excess.max())!r}"
+                )
+            accept = rng.random(pending.size) < np.exp(excess)
             proposals += pending.size
             drawn[pending[accept]] = candidates[accept]
-            pending = pending[~accept]
-            rounds += 1
-            if max_rounds is not None:
-                if not pending.size or rounds == max_rounds:
-                    break
-            elif pending.size <= stragglers or pending.size == states.size:
-                # at most isqrt(N) targets hold at most that many states;
-                # a round that accepted none ends the rounds, so they end
-                # even where no proposal can be accepted
+            if not accept.any():
+                # the rounds end even where no proposal can be accepted
                 break
-            else:
-                states = states[~accept]
-                if rounds == 1:
-                    # one stable sort per step: from here on the pending
-                    # targets stay in order of state, so neighbours tell
-                    # the distinct states apart, as _blocks does
-                    order = np.argsort(states, kind="stable")
-                    pending, states = pending[order], states[order]
-                if np.count_nonzero(states[1:] != states[:-1]) < stragglers:
-                    break
+            pending, states = pending[~accept], states[~accept]
+            if pending.size <= stragglers:
+                # at most isqrt(N) targets hold at most that many states
+                break
+            if proposals == targets.size:
+                # after the first round, one stable sort per step: from
+                # here on the pending targets stay in order of state, so
+                # neighbours tell the distinct states apart, as _blocks does
+                order = np.argsort(states, kind="stable")
+                pending, states = pending[order], states[order]
+            if np.count_nonzero(states[1:] != states[:-1]) < stragglers:
+                break
         if pending.size:
             drawn[pending] = self.draw(targets[pending], rng.random(pending.size))
         return drawn, proposals, pending.size
@@ -739,7 +742,6 @@ def _sample_paths(
     n_paths: int,
     rng: np.random.Generator,
     log_bound: float | None = None,
-    max_rounds: int | None = None,
 ) -> tuple[np.ndarray, RejectionStats]:
     """The paths of both FFBSi samplers, with their :class:`RejectionStats`."""
     if n_paths < 1:
@@ -750,9 +752,8 @@ def _sample_paths(
     paths[:, horizon] = categorical_indices(final_weights, rng.random(n_paths))
     proposals = exact = 0
     for t in range(horizon - 1, -1, -1):
-        paths[:, t], made, sent = _kernel(history, model, t).sample(
-            paths[:, t + 1], rng, log_bound, max_rounds
-        )
+        kernel = _kernel(history, model, t)
+        paths[:, t], made, sent = kernel.sample(paths[:, t + 1], rng, log_bound)
         proposals += made
         exact += sent
     # every draw not sent to the exact row was accepted
@@ -779,7 +780,6 @@ def ffbsi_rejection_sample_paths(
     model: StateSpaceModel,
     n_paths: int,
     rng: np.random.Generator,
-    max_rejections: int | None = None,
     return_stats: bool = False,
 ):
     """Draw the same backward trajectories by rejection sampling.
@@ -789,19 +789,18 @@ def ffbsi_rejection_sample_paths(
     backward row without normalizing it (Douc, Garivier, Moulines &
     Olsson 2011).  Each step runs vectorised rounds, one proposal per
     pending target, and sends the targets still pending when it stops
-    to the exact row draw, which builds one row per distinct state.  By
-    default a step stops after the first round that leaves pending
-    targets holding at most sqrt(N) distinct states, so the exact draw
-    costs at most N^{3/2} kernel pairs, or after a round that accepts
-    none, so the rounds end even when no proposal can be accepted.  An
-    explicit ``max_rejections=k`` instead stops after k rounds or when
-    none is pending.  Either way the stop depends only on accept/reject
-    outcomes and the fixed target states, and an accepted index follows
-    its row whatever the round, so the paths follow the backward law
-    exactly.
+    to the exact row draw, which builds one row per distinct state.  A
+    step stops after the first round that leaves pending targets holding
+    at most sqrt(N) distinct states, so the exact draw costs at most
+    N^{3/2} kernel pairs, or after a round that accepts none, so the
+    rounds end even when no proposal can be accepted.  The stop depends
+    only on accept/reject outcomes and the fixed target states, and an
+    accepted index follows its row whatever the round, so the paths
+    follow the backward law exactly.
 
-    Requires the model to carry an upper bound ``mixing_bounds.sigma_plus``.
-    With ``return_stats=True`` also returns a :class:`RejectionStats`.
+    Requires the model to carry an upper bound ``mixing_bounds.sigma_plus``;
+    a proposal whose density exceeds it raises ``ValueError``.  With
+    ``return_stats=True`` also returns a :class:`RejectionStats`.
     """
     bounds = model.mixing_bounds
     if bounds is None:
@@ -809,11 +808,7 @@ def ffbsi_rejection_sample_paths(
             "rejection sampling needs an upper bound on the transition "
             "density; this model carries none"
         )
-    if max_rejections is not None and max_rejections < 1:
-        raise ValueError(f"max_rejections must be >= 1, got {max_rejections}")
-    paths, stats = _sample_paths(
-        history, model, n_paths, rng, math.log(bounds.sigma_plus), max_rejections
-    )
+    paths, stats = _sample_paths(history, model, n_paths, rng, math.log(bounds.sigma_plus))
     return (paths, stats) if return_stats else paths
 
 

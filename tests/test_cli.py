@@ -352,6 +352,29 @@ def test_analyze_reports_a_slope(tmp_path, capsys):
     assert "no usable rows" in err
 
 
+@pytest.mark.parametrize("oscillation", ["0", "-1", "nan", "inf"])
+def test_analyze_refuses_an_oscillation_that_fits_no_scale(tmp_path, capsys, oscillation):
+    # 0 would fit 0/0 and write "scale": NaN, which is not JSON; -1 passed
+    # only because its square is used
+    rows = [
+        sc.VarianceRow(
+            method="ffbsi_direct", horizon=h, n_particles=300, lag=0,
+            variance=2.0 * h, mean_estimate=0.0, mean_wall_seconds=0.0,
+            replicates=10,
+        )
+        for h in (100, 200, 400)
+    ]
+    table_path = tmp_path / "table.csv"
+    sc.VarianceTable(rows=rows).to_csv(table_path)
+    code, out, err = run_cli(
+        capsys, "analyze", "--table", str(table_path),
+        "--method", "ffbsi_direct", "--axis", "T", "--overlay-osc", oscillation,
+    )
+    assert code == 2
+    assert out == ""
+    assert "oscillation must be positive and finite" in err
+
+
 @pytest.mark.parametrize(
     "row, message",
     [("ffbsi_direct,100,300", "line 2: expected 8 fields "),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import smoothcore as sc
 from conftest import B2, CHI2, P2, make_history, run_hmm_filter
-from smoothcore.models import FAMILIES, categorical_cdf
+from smoothcore.models import FAMILIES, _normal_logpdf, categorical_cdf
 
 
 def lgm_setup(horizon=8, seed=1):
@@ -60,6 +60,40 @@ def test_explicit_bootstrap_callables_give_the_same_history(family):
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.log_weights, b.log_weights)
     assert np.array_equal(a.ancestors, b.ancestors)
+
+
+def test_fully_adapted_lgm_proposal_flattens_the_weights_and_smooths_exactly():
+    # selection by the predictive likelihood N(y_t; phi x, su^2 + sv^2)
+    # and propagation from the exact conditional N(s2 (phi x / su^2 +
+    # y_t / sv^2), s2), 1/s2 = 1/su^2 + 1/sv^2: the importance ratio is 1
+    phi, su, sv, horizon = 0.9, 0.6, 1.0, 50
+    _, y = sc.simulate_lgm(phi, su, sv, horizon, sc.make_rng(72))
+    model = sc.make_lgm(phi, su, sv, y)
+    s2 = 1.0 / (1.0 / su**2 + 1.0 / sv**2)
+    predictive_sd = np.sqrt(su**2 + sv**2)
+
+    def mean(t, x):
+        return s2 * (phi * np.asarray(x) / su**2 + y[t] / sv**2)
+
+    adapted = sc.AuxiliaryProposal(
+        adjustment_log_weight=lambda t, x: _normal_logpdf(y[t], phi * x, predictive_sd),
+        proposal_log_density=lambda t, x, x_next: _normal_logpdf(
+            x_next, mean(t, x), np.sqrt(s2)
+        ),
+        proposal_sampler=lambda t, x, rng: mean(t, x)
+        + np.sqrt(s2) * rng.standard_normal(np.shape(x)),
+        initial_instrumental_log_density=model.initial_log_density,
+        initial_instrumental_sampler=model.initial_sampler,
+    )
+    functional = sc.state_sum_functional(horizon)
+    values = []
+    for seed in range(73, 93):
+        history = sc.run_filter(model, adapted, 500, horizon, sc.make_rng(seed))
+        assert np.abs(history.log_weights[1:]).max() < 1e-12
+        values.append(sc.ffbs_backward_additive(history, model, functional).value)
+    exact = sc.kalman_smooth(phi, su, sv, y).smoothed_state_sum
+    se = np.std(values, ddof=1) / np.sqrt(len(values))
+    assert abs(np.mean(values) - exact) < 4.0 * se
 
 
 def test_single_particle_run():

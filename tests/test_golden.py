@@ -69,16 +69,12 @@ DIGESTS = {
         "positions": "d78f12cd6b4b72ea1dbeb64ecbd375f882fd2a048975aa1ac183c6082e908dee",
         "direct": "7cf9d238f3ffe0011043a8b92dfd8cf25bd478ddf4a7b6216cafe6652103afd4",
         "rejection": "97fe04a870536bc3eddeb06ece171b83c5073ad9e76b99e03060ad1fe7361f32",
-        "fallback": "f45a517eee91b8b9aff097f3f8c452c71973f8ec6401f997a87546ae297bee22",
-        "rounds_3": "ea595761f6ebc8f685c09404fdc672c3f12c38c7b68425006e768d73c14d723a",
         "matrices": "ec14c14380ab0ea39cd749eaac87fdf5af8317e5235bd015c565953c65418efd",
     },
     "finite": {
         "positions": "15e418b91ebdd591d4a530ce56c49560284de81fdbf0ee7738310643047a2b74",
         "direct": "bc1d81559872040f4aff9a87391e0ed1ab30e375a253d03d31332d753400a506",
         "rejection": "3ee4ee534fd61344b9a1398c9ac1b1bc7f487c19c532e5990e1d0d4118df3cb3",
-        "fallback": "c77b2666148cce8737980bbe5ee265be954d0dce2127e0d8729ab80ec377622a",
-        "rounds_3": "f246450f6a334648f15cb62074f58459c70ad102f37c9ca5b9679752c8e9904d",
         "matrices": "fd19e03a29dfc6210034c22432a5c316b24220ebed48c74b375be8cab9632142",
     },
 }
@@ -93,25 +89,19 @@ SIMULATED_DIGEST = (
 # the kernel's row blocks and the columns of every row
 BENCH_DIGESTS = {
     "direct": "9c8de84f1d2ccd6c888afa2f39e403a58a5a63d5b5c8a91f16eecf9a4848fdbb",
-    "fallback": "43d09c0b299ded443b43a20a5c80038597a6cc4f77e33facd8117498196a527b",
     "rejection": "bf83464eb3bf82725ddf70e9b77e8f5b6e9bb5907858800b2aa250d9c493a8c6",
 }
 
 # the RejectionStats (proposals, accepted, fallbacks) of the rejection
-# draws above: one round (max_rejections=1), three rounds
-# (max_rejections=3) and the default stop
+# draws above
 REJECTION_STATS = {
     "lgm": {
-        "fallback": (7200, 3977, 3223),
-        "rounds_3": (12229, 6183, 1017),
         "rejection": (14559, 6972, 228),
     },
     "finite": {
-        "fallback": (1000, 505, 495),
-        "rounds_3": (1842, 754, 246),
         "rejection": (1000, 477, 523),
     },
-    "bench": {"fallback": (4000, 2096, 1904), "rejection": (8535, 3867, 133)},
+    "bench": {"rejection": (8535, 3867, 133)},
 }
 
 
@@ -162,28 +152,16 @@ def problem(request):
 def test_seeded_draws_and_rows_are_bit_identical(problem):
     name, model, history = problem
     n_paths = 2 * history.n_particles
-    fallback, stats = sc.ffbsi_rejection_sample_paths(
-        history, model, n_paths, sc.make_rng(9), max_rejections=1, return_stats=True
-    )
-    rounds_3, rounds_3_stats = sc.ffbsi_rejection_sample_paths(
-        history, model, n_paths, sc.make_rng(10), max_rejections=3, return_stats=True
-    )
-    rejection, default_stats = sc.ffbsi_rejection_sample_paths(
+    rejection, stats = sc.ffbsi_rejection_sample_paths(
         history, model, n_paths, sc.make_rng(8), return_stats=True
     )
-    assert {
-        "fallback": counts(stats),
-        "rounds_3": counts(rounds_3_stats),
-        "rejection": counts(default_stats),
-    } == REJECTION_STATS[name]
+    assert counts(stats) == REJECTION_STATS[name]["rejection"]
     observed = {
         "positions": digest(history.positions),
         "direct": digest(
             sc.ffbsi_sample_paths(history, model, n_paths, sc.make_rng(7))
         ),
         "rejection": digest(rejection),
-        "fallback": digest(fallback),
-        "rounds_3": digest(rounds_3),
         "matrices": digest(
             np.stack(
                 [sc.backward_matrix(history, model, t) for t in range(history.horizon)]
@@ -200,19 +178,12 @@ def test_bench_size_draws_are_bit_identical():
     history = sc.run_filter(
         model, sc.bootstrap_proposal(model), 1000, 4, sc.make_rng(2031)
     )
-    fallback, stats = sc.ffbsi_rejection_sample_paths(
-        history, model, 1000, sc.make_rng(13), max_rejections=1, return_stats=True
-    )
-    rejection, default_stats = sc.ffbsi_rejection_sample_paths(
+    rejection, stats = sc.ffbsi_rejection_sample_paths(
         history, model, 1000, sc.make_rng(14), return_stats=True
     )
-    assert {
-        "fallback": counts(stats),
-        "rejection": counts(default_stats),
-    } == REJECTION_STATS["bench"]
+    assert counts(stats) == REJECTION_STATS["bench"]["rejection"]
     observed = {
         "direct": digest(sc.ffbsi_sample_paths(history, model, 1000, sc.make_rng(12))),
-        "fallback": digest(fallback),
         "rejection": digest(rejection),
     }
     assert observed == BENCH_DIGESTS

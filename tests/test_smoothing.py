@@ -266,7 +266,7 @@ def sample_records(monkeypatch):
     records = []
     sample, draw = smoothing.BackwardKernel.sample, smoothing.BackwardKernel.draw
 
-    def recorded(kernel, targets, rng, *rounds):
+    def recorded(kernel, targets, rng, *bound):
         sizes, pending, exact = [], [], []
         density = kernel.model.transition_log_density
 
@@ -287,7 +287,7 @@ def sample_records(monkeypatch):
             kernel.model, transition_log_density=recording_density
         )
         kernel.draw = recording_draw
-        drawn, proposals, sent = sample(kernel, targets, Recording(), *rounds)
+        drawn, proposals, sent = sample(kernel, targets, Recording(), *bound)
         if proposals:
             # each round takes a proposal and an acceptance uniform per
             # pending target, and then calls the density once; the exact
@@ -314,7 +314,7 @@ def within_the_default_stop(records):
     )
 
 
-@pytest.mark.parametrize("rounds", [None, 1, "default"])
+@pytest.mark.parametrize("rounds", [None, "default"])
 def test_kernel_sample_draws_any_target_array_from_its_rows(monkeypatch, rounds):
     # targets that repeat, come out of order and cover only part of the
     # time t+1 cloud, as a forward-only smoother would pass them
@@ -333,21 +333,12 @@ def test_kernel_sample_draws_any_target_array_from_its_rows(monkeypatch, rounds)
         assert (proposals, exact) == (0, targets.size)
     else:
         log_bound = math.log(model.mixing_bounds.sigma_plus)
-        max_rounds = 1 if rounds == 1 else None
         records = sample_records(monkeypatch)
-        drawn, proposals, exact = kernel.sample(
-            targets, sc.make_rng(172), log_bound, max_rounds
-        )
-        if max_rounds == 1:
-            # one proposal per target: those not sent to the exact draw
-            # were accepted, and some of each
-            assert proposals == targets.size
-            assert 0 < exact < targets.size
-        else:
-            # the rounds stop once the pending targets hold at most
-            # isqrt(n) distinct states
-            assert proposals >= targets.size
-            assert within_the_default_stop(records)
+        drawn, proposals, exact = kernel.sample(targets, sc.make_rng(172), log_bound)
+        # the rounds stop once the pending targets hold at most isqrt(n)
+        # distinct states
+        assert proposals >= targets.size
+        assert within_the_default_stop(records)
     matrix = kernel.rows(np.array([7, 2, 5, 9]))
     statistic = 0.0
     for target, row in zip([7, 2, 5, 9], matrix):
@@ -752,16 +743,8 @@ def test_rejection_sampler_law_matches_enumeration():
     assert counters.accepted + 0 <= counters.proposals
     floor = model.mixing_bounds.sigma_minus / model.mixing_bounds.sigma_plus
     assert counters.acceptance_rate > floor - 3.0 / np.sqrt(counters.proposals)
-
-
-def test_rejection_fallback_still_targets_the_law():
-    model, history = ffbsi_small_case()
-    probs = trajectory_probabilities(history, model)
-    paths, counters = sc.ffbsi_rejection_sample_paths(
-        history, model, 50_000, sc.make_rng(93), max_rejections=1, return_stats=True
-    )
+    # the law holds for the draws sent to the exact row too
     assert counters.fallbacks > 0
-    assert chi_square_pvalue(paths, probs, 3) > 0.001
 
 
 def test_flat_kernel_accepts_every_proposal():
@@ -813,6 +796,23 @@ def test_rejection_needs_mixing_bounds():
         sc.estimate_once(
             unbounded, sc.state_sum_functional(3), "ffbsi_rejection", 8, 0
         )
+
+
+def test_rejection_refuses_a_bound_below_the_transition_density():
+    # the 4-state chain's largest entry is 0.7: under sigma_plus = 0.2 a
+    # proposal of ratio above 1 would always be accepted, so the accepted
+    # draws would follow min(1, ratio) and not the row
+    chain = [[0.7 if i == j else 0.1 for j in range(4)] for i in range(4)]
+    _, symbols = sc.simulate_finite_hmm(chain, chain, [0.25] * 4, 10, sc.make_rng(69))
+    model = sc.make_finite_hmm(
+        chain, sc.emissions_from_symbols(chain, symbols), [0.25] * 4
+    )
+    history = run_hmm_filter(model, 50, 10, seed=70)
+    low = dataclasses.replace(model, mixing_bounds=sc.MixingBounds(sigma_plus=0.2))
+    with pytest.raises(ValueError, match=r"density at t=\d+ exceeds sigma_plus = 0\.2"):
+        sc.ffbsi_rejection_sample_paths(history, low, 100, sc.make_rng(71))
+    with pytest.raises(ValueError, match="exceeds sigma_plus"):
+        sc.estimate_once(low, sc.state_sum_functional(10), "ffbsi_rejection", 50, 0)
 
 
 def test_gaussian_rejection_sampler_law_matches_enumeration(monkeypatch):
