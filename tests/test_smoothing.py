@@ -747,6 +747,18 @@ def test_rejection_sampler_law_matches_enumeration():
     assert counters.fallbacks > 0
 
 
+def test_rejection_fallback_still_targets_the_law():
+    # under the default stop about one draw in six of this case reaches
+    # the exact row; the law holds on a second, independent stream
+    model, history = ffbsi_small_case()
+    probs = trajectory_probabilities(history, model)
+    paths, counters = sc.ffbsi_rejection_sample_paths(
+        history, model, 50_000, sc.make_rng(93), return_stats=True
+    )
+    assert counters.fallbacks > 0
+    assert chi_square_pvalue(paths, probs, 3) > 0.001
+
+
 def test_flat_kernel_accepts_every_proposal():
     flat = np.array([[0.5, 0.5], [0.5, 0.5]])
     E = sc.emissions_from_symbols(B2, [0, 1, 0])
