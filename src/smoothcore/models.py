@@ -400,19 +400,26 @@ def categorical_indices(
     probabilities: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
     """Inverse-CDF lookup: for each uniform, the first index whose
-    cumulative probability (:func:`categorical_cdf`) strictly exceeds it.
-
-    The uniforms are looked up in ascending order, so each search starts
-    where the last one ended, and the indices are scattered back to the
-    uniforms' own order.  Each index depends on its uniform alone, so
-    the order of the lookups does not change the result.
+    cumulative probability (:func:`categorical_cdf`) strictly exceeds it,
+    by :func:`sorted_lookup`.
     """
-    cdf = categorical_cdf(probabilities)
-    uniforms = np.asarray(uniforms, dtype=float)
-    order = np.argsort(uniforms, axis=None)
-    indices = np.empty(uniforms.size, dtype=np.int64)
-    indices[order] = np.searchsorted(cdf, uniforms.ravel()[order], side="right")
-    return indices.reshape(uniforms.shape)
+    return sorted_lookup(categorical_cdf(probabilities), uniforms)
+
+
+def sorted_lookup(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each value, the first index whose entry of the non-decreasing
+    ``cdf`` strictly exceeds it.
+
+    The values are looked up in ascending order, so each search starts
+    where the last one ended, and the indices are scattered back to the
+    values' own order.  Each index depends on its value alone, so the
+    order of the lookups does not change the result.
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, axis=None)
+    indices = np.empty(values.size, dtype=np.int64)
+    indices[order] = np.searchsorted(cdf, values.ravel()[order], side="right")
+    return indices.reshape(values.shape)
 
 
 def first_above(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -613,6 +613,53 @@ def test_finite_fast_path_agrees_with_generic_contraction():
     assert fast.value == pytest.approx(generic.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_particles", [1, 3, 40, 1000])
+def test_finite_kernel_mat_vecs_match_the_generic_rows(n_particles):
+    # N = 1 and 3 leave some of the K = 4 states without a particle
+    for seed in range(3):
+        rng = sc.make_rng(180 + seed)
+        model = sc.make_finite_hmm(*random_hmm(rng, 4, 5))
+        opaque = dataclasses.replace(model, finite=None)
+        history = run_hmm_filter(model, n_particles, 5, seed=190 + seed)
+        for t in range(5):
+            arguments = (
+                t, history.positions[t], history.log_weights[t], history.positions[t + 1]
+            )
+            finite = smoothing.BackwardKernel(model, *arguments)
+            generic = smoothing.BackwardKernel(opaque, *arguments)
+            s, v = rng.normal(size=n_particles), rng.random(n_particles)
+            assert np.allclose(finite.right(s), generic.right(s), rtol=1e-12, atol=0)
+            assert np.allclose(finite.left(v), generic.left(v), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lag, rel", [(0, 1e-12), (1, 1e-9)])
+def test_forward_equals_backward_on_finite_chains(lag, rel):
+    for seed in range(3):
+        model = sc.make_finite_hmm(*random_hmm(sc.make_rng(200 + seed), 4, 8))
+        history = run_hmm_filter(model, 50, 8, seed=210 + seed)
+        functional = sc.AdditiveFunctional(
+            lag=lag,
+            horizon=8,
+            term=lambda t, *xs: sum(np.cos(np.asarray(x, dtype=float)) for x in xs),
+        )
+        backward = sc.ffbs_backward_additive(history, model, functional)
+        forward = sc.ffbs_forward_additive(history, model, functional)
+        assert forward.value == pytest.approx(backward.value, rel=rel)
+
+
+def test_finite_kernel_mat_vecs_raise_on_rows_without_support():
+    model = sc.make_finite_hmm(*random_hmm(sc.make_rng(220), 4, 3))
+    history = run_hmm_filter(model, 10, 3, seed=221)
+    for built in (model, dataclasses.replace(model, finite=None)):
+        kernel = smoothing.BackwardKernel(
+            built, 2, history.positions[2], np.full(10, -np.inf), history.positions[3]
+        )
+        for operation in (kernel.left, kernel.right):
+            with pytest.raises(sc.DegenerateBackwardRowError) as info:
+                operation(np.ones(10))
+            assert info.value.time_index == 2
+
+
 @pytest.mark.parametrize("lag", [0, 1, 2])
 def test_constant_terms_sum_exactly(lag):
     model, history = lgm_case(horizon=5, n_particles=8, seed=61)
