@@ -520,12 +520,7 @@ class BackwardKernel:
         stragglers = math.isqrt(self.positions.shape[0])
         cdf = categorical_cdf(exp_normalize(self.log_weights))
         while True:
-            if proposals:
-                candidates = np.searchsorted(cdf, rng.random(pending.size), side="right")
-            else:
-                # the first round proposes for every target, where a sorted
-                # lookup measured no slower at N = 300 and faster at 1000
-                candidates = sorted_lookup(cdf, rng.random(pending.size))
+            candidates = sorted_lookup(cdf, rng.random(pending.size))
             log_density = self.model.transition_log_density(
                 self.positions[candidates], states
             )

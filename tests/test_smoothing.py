@@ -632,21 +632,6 @@ def test_finite_kernel_mat_vecs_match_the_generic_rows(n_particles):
             assert np.allclose(finite.left(v), generic.left(v), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("lag, rel", [(0, 1e-12), (1, 1e-9)])
-def test_forward_equals_backward_on_finite_chains(lag, rel):
-    for seed in range(3):
-        model = sc.make_finite_hmm(*random_hmm(sc.make_rng(200 + seed), 4, 8))
-        history = run_hmm_filter(model, 50, 8, seed=210 + seed)
-        functional = sc.AdditiveFunctional(
-            lag=lag,
-            horizon=8,
-            term=lambda t, *xs: sum(np.cos(np.asarray(x, dtype=float)) for x in xs),
-        )
-        backward = sc.ffbs_backward_additive(history, model, functional)
-        forward = sc.ffbs_forward_additive(history, model, functional)
-        assert forward.value == pytest.approx(backward.value, rel=rel)
-
-
 def test_finite_kernel_mat_vecs_raise_on_rows_without_support():
     model = sc.make_finite_hmm(*random_hmm(sc.make_rng(220), 4, 3))
     history = run_hmm_filter(model, 10, 3, seed=221)
@@ -672,10 +657,23 @@ def test_constant_terms_sum_exactly(lag):
     assert estimate.value == pytest.approx(2.5 * (5 - lag + 1), rel=1e-12)
 
 
-@pytest.mark.parametrize("lag", [0, 1])
-def test_forward_equals_backward(lag):
+@pytest.mark.parametrize(
+    "finite, lag, rel",
+    [
+        pytest.param(False, 0, 1e-9, id="0"),
+        pytest.param(False, 1, 1e-9, id="1"),
+        # both passes regroup a finite chain's lag-0 mat-vecs by state
+        pytest.param(True, 0, 1e-12, id="finite-0"),
+        pytest.param(True, 1, 1e-9, id="finite-1"),
+    ],
+)
+def test_forward_equals_backward(finite, lag, rel):
     for seed in range(5):
-        model, history = lgm_case(horizon=7, n_particles=20, seed=70 + seed)
+        if finite:
+            model = sc.make_finite_hmm(*random_hmm(sc.make_rng(200 + seed), 4, 7))
+            history = run_hmm_filter(model, 50, 7, seed=210 + seed)
+        else:
+            model, history = lgm_case(horizon=7, n_particles=20, seed=70 + seed)
         functional = sc.AdditiveFunctional(
             lag=lag,
             horizon=7,
@@ -683,7 +681,7 @@ def test_forward_equals_backward(lag):
         )
         backward = sc.ffbs_backward_additive(history, model, functional)
         forward = sc.ffbs_forward_additive(history, model, functional)
-        assert forward.value == pytest.approx(backward.value, rel=1e-9)
+        assert forward.value == pytest.approx(backward.value, rel=rel)
         assert forward.method == "ffbs_forward"
 
 
