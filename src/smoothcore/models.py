@@ -56,11 +56,11 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 
 @dataclass(frozen=True, kw_only=True)
 class MixingBounds:
-    """Bounds on the transition density, plus a likelihood floor.
+    """Bounds on the transition density.
 
     Only the upper bound is required: it is all the rejection sampler
-    uses.  The lower bounds hold on compact or finite state spaces and
-    are None where none holds, as for the Gaussian AR(1) kernels.
+    uses.  The lower bound holds on compact or finite state spaces and
+    is None where none holds, as for the Gaussian AR(1) kernels.
 
     Attributes
     ----------
@@ -68,15 +68,11 @@ class MixingBounds:
         Upper bound on the transition density, > 0.
     sigma_minus : float or None
         Lower bound on the transition density, in (0, sigma_plus].
-        ``sigma_minus == sigma_plus`` is allowed (constant kernel); then
-        ``rho == 0``.
-    c_minus : float or None
-        Lower bound on the one-step predictive likelihood mass, > 0.
+        ``sigma_minus == sigma_plus`` is allowed (constant kernel).
     """
 
     sigma_plus: float
     sigma_minus: float | None = None
-    c_minus: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.sigma_plus < math.inf:
@@ -90,16 +86,6 @@ class MixingBounds:
                 "mixing bounds need 0 < sigma_minus <= sigma_plus, got "
                 f"[{self.sigma_minus}, {self.sigma_plus}]"
             )
-        if self.c_minus is not None and not self.c_minus > 0.0:
-            raise ValueError(f"c_minus must be positive, got {self.c_minus}")
-
-    @property
-    def rho(self) -> float | None:
-        """Mixing rate ``1 - sigma_minus / sigma_plus``, in [0, 1); None
-        without a lower bound."""
-        if self.sigma_minus is None:
-            return None
-        return 1.0 - self.sigma_minus / self.sigma_plus
 
 
 @dataclass(frozen=True)
@@ -479,12 +465,8 @@ def make_finite_hmm(
     States are the integer labels ``0..K-1`` under counting measure.
     Strict positivity of every transition entry is required, which
     makes the two-sided density bounds hold exactly; they are attached
-    as ``mixing_bounds`` with
-
-    * ``sigma_minus`` / ``sigma_plus`` the smallest / largest entry,
-    * ``c_minus`` the smallest one-step predictive likelihood mass over
-      the evaluated times (including the time-0 mass under the initial
-      law).
+    as ``mixing_bounds``, with ``sigma_minus`` / ``sigma_plus`` the
+    smallest / largest entry.
 
     Parameters
     ----------
@@ -517,14 +499,7 @@ def make_finite_hmm(
     with np.errstate(divide="ignore"):
         log_chi = np.log(chi)
 
-    predictive_floors = [float(chi @ E[0])]
-    for t in range(1, E.shape[0]):
-        predictive_floors.append(float(np.min(P @ E[t])))
-    bounds = MixingBounds(
-        sigma_minus=float(P.min()),
-        sigma_plus=float(P.max()),
-        c_minus=min(predictive_floors),
-    )
+    bounds = MixingBounds(sigma_minus=float(P.min()), sigma_plus=float(P.max()))
 
     def initial_sampler(rng, n):
         return categorical_indices(chi, rng.random(n))

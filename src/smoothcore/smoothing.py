@@ -7,8 +7,7 @@ smoothing distribution:
   backward marginal recursion (deterministic given the history,
   O(T N^2) for lag 0, O(T N^{r+2}) in general);
 * ``ffbs_forward_additive`` computes the same value with a forward-only
-  recursion over per-particle running statistics (lags 0 and 1;
-  O(T N) on a finite chain at lag 0);
+  recursion over per-particle running statistics (lags 0 and 1);
 * ``ffbsi_sample_paths`` / ``ffbsi_rejection_sample_paths`` draw index
   trajectories backwards through :meth:`BackwardKernel.sample`, the
   rejection variant after accept/reject rounds under the transition
@@ -29,12 +28,16 @@ column.  They are swept in cache-sized blocks that are exponentiated
 in place and consumed at once by a mat-vec, which folds in the column
 and each row's normalization, or by an exact row draw, which reads each
 block once for its rows' chunk masses and then rebuilds, for each draw,
-the one chunk its uniform lands in.  On a finite chain the two
-mat-vecs build no rows: ``left`` and the lag 0 ``right`` regroup their
-sums through the K states, O(N + K^2) per step, so the K rows serve
-only the draws, ``rows()`` and the lag 1 ``right``.
-Only :func:`backward_matrix` and the lagged (r >= 1) backward
-contraction hold a full (N, N) matrix.
+the one chunk its uniform lands in.  Only :func:`backward_matrix` and
+the lagged (r >= 1) backward contraction hold a full (N, N) matrix.
+
+A finite chain's backward kernel depends on the time t cloud only
+through the weight it puts on each state, W_t(k), the sum of the
+weights of the particles in state k.  So on a model with ``finite``
+both FFBS estimators run on the K states, with the (K, K) kernel
+B_t(v, k) = W_t(k) P[k, v] / (W_t P)[v] of :class:`_StateKernel`, at
+O(N + K^2) per step and any lag.  The K rows per step of
+:class:`BackwardKernel` serve the FFBSi draws and ``rows()``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -129,12 +133,12 @@ _CHUNK = 16
 # 1 MB for 1000 draws at N = 1000.  Past it the targets are drawn in parts,
 # which may build a row once per part.
 _SEARCH_BYTES = 64 * 1024 * 1024
-# Bytes of one float64 array of N^(r+1) entries in a lag r >= 1
-# contraction.  Several such arrays live at once (the einsum block, the
-# term on the particle grid and their product), so a contraction inside
-# this budget peaks near 1 GB; past it, the allocator fails midway
-# (8 GB per array at N = 1000, r = 2).  It admits N <= 5792 at lag 1 and
-# N <= 322 at lag 2.
+# Bytes of one float64 array of N^(r+1) entries (K^(r+1) on a finite
+# chain) in a lag r >= 1 contraction.  Several such arrays live at once
+# (the einsum block, the term on the grid and their product), so a
+# contraction inside this budget peaks near 1 GB; past it, the allocator
+# fails midway (8 GB per array at N = 1000, r = 2).  It admits N <= 5792
+# at lag 1 and N <= 322 at lag 2.
 _LAG_GRID_BYTES = 256 * 1024 * 1024
 # Span, in log units, of the target factors exp(d slope_j) within one
 # anchor bin of the Gaussian build: |d slope_j| <= _LOG_SPAN / 2.  Each
@@ -181,10 +185,8 @@ class BackwardKernel:
     entries times a per-source column, which each operation folds into
     its mat-vec or multiplies in.  When the model carries a
     ``gaussian_transition``, the rows come from its ``(phi, sd)`` and
-    ``transition_log_density`` is not called.  On a finite chain,
-    ``left`` and ``right`` without ``pair`` build no rows and read
-    :meth:`_by_state` instead.  Target indices refer to the time t+1
-    cloud.
+    ``transition_log_density`` is not called.  Target indices refer to
+    the time t+1 cloud.
     """
 
     def __init__(
@@ -318,36 +320,9 @@ class BackwardKernel:
             part -= shifts
         return np.exp(part, out=part)
 
-    def _by_state(self):
-        """A finite chain's kernel regrouped through its K states: the
-        source and target states, the weights ``exp(log w - max)`` and
-        each target's row mass ``(weight_by_state @ P)[target]``, where
-        ``weight_by_state`` sums the weights per source state.  Row i is
-        ``weights * P[sources, targets[i]] / mass[i]``.  A row without
-        mass raises :class:`DegenerateBackwardRowError`, as in
-        :meth:`_blocks`."""
-        P = self.model.finite.transition
-        sources = np.asarray(self.positions, dtype=np.int64)
-        targets = np.asarray(self.next_positions, dtype=np.int64)
-        top = np.max(self.log_weights)
-        if not np.isfinite(top):
-            raise DegenerateBackwardRowError(self.t)
-        weights = np.exp(self.log_weights - top)
-        weight_by_state = np.bincount(sources, weights=weights, minlength=P.shape[0])
-        mass = (weight_by_state @ P)[targets]
-        if np.any(mass <= 0.0):
-            raise DegenerateBackwardRowError(self.t, int(np.argmax(mass <= 0.0)))
-        return sources, targets, weights, mass
-
     def left(self, v: np.ndarray) -> np.ndarray:
         """``v . Lambda``: carries a law over the time t+1 cloud back onto
-        the time t cloud (the backward marginal recursion).  On a finite
-        chain the sums go through the K states: O(N + K^2), not O(K N)."""
-        if self.model.finite is not None:
-            P = self.model.finite.transition
-            sources, targets, weights, mass = self._by_state()
-            credit_by_state = np.bincount(targets, weights=v / mass, minlength=P.shape[0])
-            return weights * (P @ credit_by_state)[sources]
+        the time t cloud (the backward marginal recursion)."""
         out = np.zeros(self.positions.shape[0])
         for _, rows, column, members, which, _ in self._blocks(None):
             credit = np.bincount(which, weights=v[members], minlength=len(rows))
@@ -358,14 +333,7 @@ class BackwardKernel:
         """``Lambda . s``: the mean of s over each target's row, for every
         time t+1 particle.  With ``pair``, a callable taking a column of
         target values and returning their (rows, N) pair terms, each row
-        averages ``s + pair(target)`` instead.  On a finite chain without
-        ``pair`` the sums go through the K states, as in :meth:`left`;
-        ``pair`` takes source positions, so with it the rows are built."""
-        if pair is None and self.model.finite is not None:
-            P = self.model.finite.transition
-            sources, targets, weights, mass = self._by_state()
-            total_by_state = np.bincount(sources, weights=weights * s, minlength=P.shape[0])
-            return (total_by_state @ P)[targets] / mass
+        averages ``s + pair(target)`` instead."""
         out = np.empty(self.next_positions.shape[0])
         paired = None
         for values, rows, column, members, which, _ in self._blocks(None):
@@ -568,6 +536,43 @@ class BackwardKernel:
         return out
 
 
+def _weight_by_state(positions, weights: np.ndarray, n_states: int) -> np.ndarray:
+    """The weights of a finite chain's cloud summed over each state."""
+    positions = np.asarray(positions, dtype=np.int64)
+    return np.bincount(positions, weights=weights, minlength=n_states)
+
+
+class _StateKernel:
+    """A finite chain's backward kernel from the time t+1 states onto
+    the time t states, with the mat-vecs of :class:`BackwardKernel`.
+
+    Its (K, K) matrix is B_t(v, k) = W_t(k) P[k, v] / (W_t P)[v], where
+    W_t sums the weights ``exp(log w - max)`` over each state.  P is
+    strictly positive, so every row has mass once W_t has; a cloud of
+    weights all -inf raises :class:`DegenerateBackwardRowError`."""
+
+    def __init__(self, model: StateSpaceModel, t: int, positions, log_weights):
+        transition = model.finite.transition
+        top = np.max(log_weights)
+        if not np.isfinite(top):
+            raise DegenerateBackwardRowError(t)
+        weights = _weight_by_state(positions, np.exp(log_weights - top), len(transition))
+        joint = weights[:, None] * transition
+        self.matrix = (joint / joint.sum(axis=0)).T
+        self.states = np.arange(transition.shape[0])
+
+    def left(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.matrix
+
+    def right(self, s: np.ndarray, pair=None) -> np.ndarray:
+        if pair is None:
+            return self.matrix @ s
+        return np.sum(self.matrix * (s + pair(self.states[:, None])), axis=1)
+
+    def rows(self) -> np.ndarray:
+        return self.matrix
+
+
 def _kernel(history: ParticleHistory, model: StateSpaceModel, t: int) -> BackwardKernel:
     if not 0 <= t <= history.horizon - 1:
         raise IndexError(
@@ -580,23 +585,6 @@ def _kernel(history: ParticleHistory, model: StateSpaceModel, t: int) -> Backwar
         history.log_weights[t],
         history.positions[t + 1],
     )
-
-
-def backward_row(
-    history: ParticleHistory,
-    model: StateSpaceModel,
-    t: int,
-    target_index: int,
-) -> np.ndarray:
-    """Backward kernel row for one target particle at time t+1.
-
-    The row reweights the time t cloud by the transition density into
-    the target position and normalizes; it sums to 1 by construction.
-    """
-    kernel = _kernel(history, model, t)
-    if not 0 <= target_index < history.n_particles:
-        raise IndexError(f"target index {target_index} out of range")
-    return kernel.rows(np.array([target_index]))[0]
 
 
 def backward_matrix(
@@ -627,24 +615,36 @@ def _ffbs_backward(
     r = functional.lag
     horizon = history.horizon
     marginal = normalized_weights(history, horizon)
+    if model.finite is None:
+        kernel = partial(_kernel, history, model)
+        positions = history.positions
+    else:
+        # the same contraction on the K states, at every time
+        states = np.arange(model.finite.n_states)
+        marginal = _weight_by_state(history.positions[horizon], marginal, states.size)
+        positions = np.broadcast_to(states, (horizon + 1, states.size))
+
+        def kernel(t):
+            return _StateKernel(model, t, history.positions[t], history.log_weights[t])
+
     # Lambda_{t-1}, ..., Lambda_{t-r}: each matrix is built once and
     # serves r consecutive terms
     ring: deque[np.ndarray] = deque()
     total = 0.0
     for t in range(horizon, r - 1, -1):
         while len(ring) < r:
-            ring.append(backward_matrix(history, model, t - 1 - len(ring)))
+            ring.append(kernel(t - 1 - len(ring)).rows())
         block = marginal
         for lam in ring:
             # prepend the earlier time axis without contracting anything
             block = np.einsum("ij,i...->ji...", lam, block)
-        grid = functional.term_on_grid(t, history.positions[t - r : t + 1])
+        grid = functional.term_on_grid(t, positions[t - r : t + 1])
         total += float(np.sum(block * grid))
         if t > r:
             if r:
                 marginal = marginal @ ring.popleft()
             else:
-                marginal = _kernel(history, model, t - 1).left(marginal)
+                marginal = kernel(t - 1).left(marginal)
     return total
 
 
@@ -657,19 +657,24 @@ def ffbs_backward_additive(
 
     Runs the backward marginal recursion from the final weights and
     contracts each term against the joint law of ``lag + 1``
-    consecutive indices.  On finite-state models the lag 0 recursion
-    uses an exact state-space regrouping of the same sums.  At lag
-    r >= 1 the contraction holds arrays of N^(r+1) entries; when one
-    would pass 256 MiB (``_LAG_GRID_BYTES``), the call raises
-    :class:`UnsupportedLagError` before any backward row is built.
+    consecutive indices.  On a finite chain the same contraction runs
+    on the K states, with the weights summed over each state.  At lag
+    r >= 1 the contraction holds arrays of S^(r+1) entries, S = N or K
+    on a finite chain; when one would pass 256 MiB
+    (``_LAG_GRID_BYTES``), the call raises :class:`UnsupportedLagError`
+    before any backward row is built.
     """
     _check_functional(history, functional)
-    r, n = functional.lag, history.n_particles
-    needed = 8 * n ** (r + 1)
+    r = functional.lag
+    if model.finite is None:
+        name, size = "N", history.n_particles
+    else:
+        name, size = "K", model.finite.n_states
+    needed = 8 * size ** (r + 1)
     if r and needed > _LAG_GRID_BYTES:
         raise UnsupportedLagError(
-            f"lag {r} at N={n} contracts arrays of N^{r + 1} float64 entries, "
-            f"{needed} bytes each, over the budget of {_LAG_GRID_BYTES} bytes"
+            f"lag {r} at {name}={size} contracts arrays of {name}^{r + 1} float64 "
+            f"entries, {needed} bytes each, over the budget of {_LAG_GRID_BYTES} bytes"
         )
     value = _ffbs_backward(history, model, functional)
     return SmoothingEstimate(
@@ -689,12 +694,13 @@ def ffbs_forward_additive(
 ) -> SmoothingEstimate:
     """Forward-only evaluation of the same smoothed value.
 
-    Maintains one running statistic per particle and updates it through
-    each new backward row, so it needs only the current and previous
-    filter step.  A stream must count t = 0, 1, 2, ... in order up to
-    the functional's horizon; otherwise the call raises ``ValueError``.
-    Supports lags 0 and 1; the result matches
-    :func:`ffbs_backward_additive` up to floating-point roundoff.
+    Maintains one running statistic per particle, or per state on a
+    finite chain, and updates it through each new backward row, so it
+    needs only the current and previous filter step.  A stream must
+    count t = 0, 1, 2, ... in order up to the functional's horizon;
+    otherwise the call raises ``ValueError``.  Supports lags 0 and 1;
+    the result matches :func:`ffbs_backward_additive` up to
+    floating-point roundoff.
     """
     r = functional.lag
     if r not in (0, 1):
@@ -712,10 +718,18 @@ def ffbs_forward_additive(
     if prev.t != 0:
         raise ValueError(f"stream starts at t={prev.t}, expected t=0")
     n = prev.positions.shape[0]
+    finite = model.finite
+    if finite is not None:
+        states = np.arange(finite.n_states)
+
+    def support(step):
+        # what the statistics are indexed by: the particles, or the states
+        return step.positions if finite is None else states
+
     if r == 0:
-        statistics = np.asarray(functional.term(0, prev.positions), dtype=float)
+        statistics = np.asarray(functional.term(0, support(prev)), dtype=float)
     else:
-        statistics = np.zeros(n)
+        statistics = np.zeros(len(support(prev)))
 
     for step in steps:
         t = step.t
@@ -723,15 +737,18 @@ def ffbs_forward_additive(
             raise ValueError(
                 f"stream step t={t} follows t={prev.t}, expected t={prev.t + 1}"
             )
-        kernel = BackwardKernel(
-            model, t - 1, prev.positions, prev.log_weights, step.positions
-        )
-        if r == 0:
-            statistics = kernel.right(statistics) + np.asarray(
-                functional.term(t, step.positions), dtype=float
+        if finite is None:
+            kernel = BackwardKernel(
+                model, t - 1, prev.positions, prev.log_weights, step.positions
             )
         else:
-            sources = prev.positions[None, :]
+            kernel = _StateKernel(model, t - 1, prev.positions, prev.log_weights)
+        if r == 0:
+            statistics = kernel.right(statistics) + np.asarray(
+                functional.term(t, support(step)), dtype=float
+            )
+        else:
+            sources = support(prev)[None, :]
             statistics = kernel.right(
                 statistics,
                 pair=lambda targets: np.asarray(
@@ -745,7 +762,10 @@ def ffbs_forward_additive(
             f"stream ended at t={prev.t}, functional horizon is "
             f"{functional.horizon}"
         )
-    value = float(exp_normalize(prev.log_weights) @ statistics)
+    weights = exp_normalize(prev.log_weights)
+    if finite is not None:
+        weights = _weight_by_state(prev.positions, weights, states.size)
+    value = float(weights @ statistics)
     return SmoothingEstimate(
         method=METHOD_FFBS_FORWARD,
         value=value,

@@ -105,9 +105,6 @@ def test_finite_hmm_mixing_bounds_hand_values(hmm2):
     bounds = hmm2.mixing_bounds
     assert bounds.sigma_minus == pytest.approx(0.3, abs=0)
     assert bounds.sigma_plus == pytest.approx(0.7, abs=0)
-    # chi . E0 = 0.6;  min_k (P E_t)_k = 0.35 (t in {1, 2}), 0.5 (t = 3)
-    assert bounds.c_minus == pytest.approx(0.35, abs=1e-15)
-    assert bounds.rho == pytest.approx(1.0 - 0.3 / 0.7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,28 +120,20 @@ def test_finite_hmm_mixing_bounds_recomputed(seed, n_states, horizon):
     bounds = model.mixing_bounds
     assert bounds.sigma_minus == P.min()
     assert bounds.sigma_plus == P.max()
-    candidates = [float(chi @ E[0])]
-    for t in range(1, horizon + 1):
-        candidates.append(float(np.min(P @ E[t])))
-    assert bounds.c_minus == pytest.approx(min(candidates), rel=1e-15)
-    assert 0.0 <= bounds.rho < 1.0
 
 
 def test_mixing_bounds_validation():
     with pytest.raises(ValueError):
-        sc.MixingBounds(sigma_minus=0.0, sigma_plus=1.0, c_minus=0.1)
+        sc.MixingBounds(sigma_minus=0.0, sigma_plus=1.0)
     with pytest.raises(ValueError):
-        sc.MixingBounds(sigma_minus=0.8, sigma_plus=0.7, c_minus=0.1)
-    with pytest.raises(ValueError):
-        sc.MixingBounds(sigma_minus=0.1, sigma_plus=0.2, c_minus=0.0)
-    flat = sc.MixingBounds(sigma_minus=0.5, sigma_plus=0.5, c_minus=0.5)
-    assert flat.rho == 0.0
+        sc.MixingBounds(sigma_minus=0.8, sigma_plus=0.7)
+    flat = sc.MixingBounds(sigma_minus=0.5, sigma_plus=0.5)
+    assert flat.sigma_minus == flat.sigma_plus
     for sigma_plus in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             sc.MixingBounds(sigma_plus=sigma_plus)
     upper = sc.MixingBounds(sigma_plus=2.0)
-    assert upper.sigma_minus is None and upper.c_minus is None
-    assert upper.rho is None
+    assert upper.sigma_minus is None
 
 
 @pytest.mark.parametrize("family", ["lgm", "svm"])

@@ -53,11 +53,9 @@ def test_backward_row_hand_computed():
         positions=np.array([[0, 1, 0], [1, 0, 0]], dtype=np.int64),
         log_weights=np.log([[0.2, 0.5, 0.3], [1.0, 1.0, 1.0]]),
     )
-    row = sc.backward_row(history, model, 0, 0)
+    row = sc.backward_matrix(history, model, 0)[0]
     # weights (0.2, 0.5, 0.3) against P[x_j, 1] = (0.3, 0.6, 0.3)
     assert np.allclose(row, [2 / 15, 10 / 15, 3 / 15], atol=1e-15)
-    matrix = sc.backward_matrix(history, model, 0)
-    assert np.array_equal(matrix[0], row)
 
 
 def test_backward_rows_match_bruteforce_and_sum_to_one():
@@ -71,21 +69,14 @@ def test_backward_rows_match_bruteforce_and_sum_to_one():
 def test_single_particle_backward_row_is_trivial():
     model, history = lgm_case(horizon=3, n_particles=1, seed=5)
     for t in range(3):
-        assert np.array_equal(
-            sc.backward_row(history, model, t, 0), [1.0]
-        )
+        assert np.array_equal(sc.backward_matrix(history, model, t)[0], [1.0])
 
 
 def test_backward_row_index_validation():
     model, history = lgm_case(horizon=2, n_particles=4, seed=6)
-    with pytest.raises(IndexError):
-        sc.backward_row(history, model, 2, 0)
-    with pytest.raises(IndexError):
-        sc.backward_row(history, model, -1, 0)
-    with pytest.raises(IndexError):
-        sc.backward_row(history, model, 0, 4)
-    with pytest.raises(IndexError):
-        sc.backward_matrix(history, model, 2)
+    for t in (2, -1):
+        with pytest.raises(IndexError):
+            sc.backward_matrix(history, model, t)
 
 
 def anchor_bins(kernel, targets=None):
@@ -615,33 +606,59 @@ def test_finite_fast_path_agrees_with_generic_contraction():
 
 @pytest.mark.parametrize("n_particles", [1, 3, 40, 1000])
 def test_finite_kernel_mat_vecs_match_the_generic_rows(n_particles):
-    # N = 1 and 3 leave some of the K = 4 states without a particle
+    # both estimators on the K states against the particle kernel, which
+    # runs once the finite tables are stripped; N = 1 and 3 leave some of
+    # the K = 4 states without a particle
+    lags = (0, 1) if n_particles == 1000 else (0, 1, 2)
     for seed in range(3):
         rng = sc.make_rng(180 + seed)
         model = sc.make_finite_hmm(*random_hmm(rng, 4, 5))
         opaque = dataclasses.replace(model, finite=None)
         history = run_hmm_filter(model, n_particles, 5, seed=190 + seed)
-        for t in range(5):
-            arguments = (
-                t, history.positions[t], history.log_weights[t], history.positions[t + 1]
+        for lag in lags:
+            weights = rng.normal(size=lag + 1)
+            # positive terms, so that no sum cancels below the tolerance
+            functional = sc.AdditiveFunctional(
+                lag=lag,
+                horizon=5,
+                term=lambda t, *xs: np.exp(
+                    np.sin(t + sum(w * x for w, x in zip(weights, xs)))
+                ),
             )
-            finite = smoothing.BackwardKernel(model, *arguments)
-            generic = smoothing.BackwardKernel(opaque, *arguments)
-            s, v = rng.normal(size=n_particles), rng.random(n_particles)
-            assert np.allclose(finite.right(s), generic.right(s), rtol=1e-12, atol=0)
-            assert np.allclose(finite.left(v), generic.left(v), rtol=1e-12, atol=0)
+            estimators = [sc.ffbs_backward_additive]
+            if lag < 2:
+                estimators.append(sc.ffbs_forward_additive)
+            for estimator in estimators:
+                finite = estimator(history, model, functional).value
+                generic = estimator(history, opaque, functional).value
+                assert finite == pytest.approx(generic, rel=1e-12, abs=0)
+
+
+def test_finite_chain_at_lag_2_builds_no_row():
+    # at N = 1000 the particle grid would hold N^3 entries and raise;
+    # on the K states the contraction needs no backward row at all
+    model = sc.make_finite_hmm(*random_hmm(sc.make_rng(230), 4, 6))
+    history = run_hmm_filter(model, 1000, 6, seed=231)
+
+    def no_rows(x, x_next):
+        raise AssertionError("a backward row was built")
+
+    model = dataclasses.replace(model, transition_log_density=no_rows)
+    functional = sc.AdditiveFunctional(lag=2, horizon=6, term=lambda t, a, b, c: a + b * c)
+    assert math.isfinite(sc.ffbs_backward_additive(history, model, functional).value)
 
 
 def test_finite_kernel_mat_vecs_raise_on_rows_without_support():
     model = sc.make_finite_hmm(*random_hmm(sc.make_rng(220), 4, 3))
     history = run_hmm_filter(model, 10, 3, seed=221)
+    log_weights = history.log_weights.copy()
+    log_weights[2] = -np.inf
+    history = make_history(history.positions, log_weights, history.ancestors)
+    functional = sc.state_sum_functional(3)
     for built in (model, dataclasses.replace(model, finite=None)):
-        kernel = smoothing.BackwardKernel(
-            built, 2, history.positions[2], np.full(10, -np.inf), history.positions[3]
-        )
-        for operation in (kernel.left, kernel.right):
+        for estimator in (sc.ffbs_backward_additive, sc.ffbs_forward_additive):
             with pytest.raises(sc.DegenerateBackwardRowError) as info:
-                operation(np.ones(10))
+                estimator(history, built, functional)
             assert info.value.time_index == 2
 
 
@@ -662,9 +679,9 @@ def test_constant_terms_sum_exactly(lag):
     [
         pytest.param(False, 0, 1e-9, id="0"),
         pytest.param(False, 1, 1e-9, id="1"),
-        # both passes regroup a finite chain's lag-0 mat-vecs by state
+        # on a finite chain both passes run on the K states
         pytest.param(True, 0, 1e-12, id="finite-0"),
-        pytest.param(True, 1, 1e-9, id="finite-1"),
+        pytest.param(True, 1, 1e-12, id="finite-1"),
     ],
 )
 def test_forward_equals_backward(finite, lag, rel):
@@ -808,7 +825,7 @@ def test_flat_kernel_accepts_every_proposal():
     flat = np.array([[0.5, 0.5], [0.5, 0.5]])
     E = sc.emissions_from_symbols(B2, [0, 1, 0])
     model = sc.make_finite_hmm(flat, E, CHI2)
-    assert model.mixing_bounds.rho == 0.0
+    assert model.mixing_bounds.sigma_minus == model.mixing_bounds.sigma_plus
     history = run_hmm_filter(model, 16, 2, seed=94)
     _, counters = sc.ffbsi_rejection_sample_paths(
         history, model, 2000, sc.make_rng(95), return_stats=True
