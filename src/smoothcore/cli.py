@@ -133,8 +133,8 @@ def _cmd_analyze(args) -> int:
         table, args.method, args.axis, fixed_value=args.fixed
     )
     report = {
-        "method": regression.method,
-        "axis": regression.axis,
+        "method": args.method,
+        "axis": args.axis,
         "fixed_value": regression.fixed_value,
         "slope": regression.slope,
         "stderr": regression.stderr,
@@ -198,7 +198,7 @@ def _cmd_oracle(args) -> int:
         params = _continuous_params(args, "lgm")
         _, y = read_observations_csv(args.data)
         model = FAMILIES["lgm"].build(params, y)
-        grid = quadrature_grid(0.0, model.gaussian_transition.stationary_sd)
+        grid = quadrature_grid(model.gaussian_transition.stationary_sd)
         value = path_space_asymptotic_variance(
             model, state_sum_functional(y.size - 1), grid=grid
         )

@@ -447,8 +447,6 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> VarianceTable:
 class RegressionResult:
     """Least-squares slope of log variance against one log axis."""
 
-    method: str
-    axis: str
     slope: float
     stderr: float
     n_points: int
@@ -500,11 +498,8 @@ def scaling_regression(
     slope = float(lx_centered @ ly / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     residuals = ly - (intercept + slope * lx)
-    dof = xs.size - 2
-    sigma_sq = float(residuals @ residuals / dof) if dof > 0 else 0.0
+    sigma_sq = float(residuals @ residuals / (xs.size - 2))
     return RegressionResult(
-        method=method,
-        axis=axis,
         slope=slope,
         stderr=math.sqrt(sigma_sq / sxx),
         n_points=int(xs.size),
@@ -516,7 +511,6 @@ def scaling_regression(
 class BoundOverlay:
     """A theory-bound curve fitted to observed variances by one scale."""
 
-    method: str
     scale: float
     predicted: tuple[float, ...]
     observed: tuple[float, ...]
@@ -555,7 +549,6 @@ def fit_bound_scale(
     observed = np.array([row.variance for row in rows])
     scale = float(shapes @ observed / (shapes @ shapes))
     return BoundOverlay(
-        method=method,
         scale=scale,
         predicted=tuple(float(s * scale) for s in shapes),
         observed=tuple(float(v) for v in observed),

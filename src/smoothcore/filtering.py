@@ -73,7 +73,7 @@ class ParticleHistory:
             raise ValueError("log_weights shape must match positions")
         if self.ancestors.shape != (steps - 1, n):
             raise ValueError("ancestors must have shape (T, N)")
-        if steps >= 1 and self.ancestors.size:
+        if self.ancestors.size:
             if self.ancestors.min() < 0 or self.ancestors.max() >= n:
                 raise ValueError("ancestor indices out of range")
 
@@ -230,7 +230,6 @@ def filter_estimate(
     history: ParticleHistory, t: int, f: Callable[[np.ndarray], np.ndarray]
 ) -> float:
     """Self-normalized estimate of the filter expectation of f at t."""
-    _check_time_index(history, t)
     w = normalized_weights(history, t)
     values = np.asarray(f(history.positions[t]), dtype=float)
     return float(w @ values)

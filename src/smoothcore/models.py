@@ -417,20 +417,18 @@ def first_above(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def categorical_rows(
-    probabilities: np.ndarray, uniforms: np.ndarray, rows=None
+    probabilities: np.ndarray, uniforms: np.ndarray, rows
 ) -> np.ndarray:
     """Inverse-CDF draws from the rows of a probability table.
 
-    Draw m reads row ``rows[m]`` (row m when ``rows`` is None) and
-    returns the first index whose cumulative probability strictly
-    exceeds ``uniforms[m]``.  Each row's CDF is closed at 1 from the
-    first index that reaches the row's total (:func:`categorical_cdf`),
-    so every uniform in [0, 1) lands on an index of positive probability.
+    Draw m reads row ``rows[m]`` and returns the first index whose
+    cumulative probability strictly exceeds ``uniforms[m]``.  Each row's
+    CDF is closed at 1 from the first index that reaches the row's total
+    (:func:`categorical_cdf`), so every uniform in [0, 1) lands on an
+    index of positive probability.
     """
     cdf = categorical_cdf(probabilities)
     uniforms = np.asarray(uniforms, dtype=float)
-    if rows is None:
-        rows = np.arange(uniforms.size)
     return first_above(cdf[rows], uniforms)
 
 
@@ -606,6 +604,9 @@ def simulate_finite_hmm(transition_matrix, observation_matrix, initial, horizon,
     _check_chain(P, chi)
     if B.ndim != 2 or B.shape[0] != P.shape[0]:
         raise ValueError("observation matrix must have one row per state")
+    _require_finite("observation_matrix", B)
+    if np.any(B < 0.0):
+        raise ValueError("observation matrix entries must be nonnegative")
     if np.max(np.abs(B.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("observation matrix rows must sum to 1 within 1e-12")
 

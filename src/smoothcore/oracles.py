@@ -61,9 +61,6 @@ class TheoryBounds:
     the deviation inequality (it does not depend on N).
     """
 
-    lag: int
-    horizon: int
-    n_particles: int
     lq_error_factor: float
     deviation_factor: float
 
@@ -196,15 +193,6 @@ def _hmm_backward(data, horizon: int, normalizers: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def exact_hmm_smoothed_marginals(model: StateSpaceModel, horizon: int) -> np.ndarray:
-    """Exact per-step smoothed state distributions, shape (horizon+1, K)."""
-    data = _finite_data(model)
-    filtered, normalizers = exact_hmm_filter(model, horizon)
-    backward = _hmm_backward(data, horizon, normalizers)
-    marginals = filtered * backward
-    return marginals / marginals.sum(axis=1, keepdims=True)
-
-
 def exact_hmm_smooth(
     model: StateSpaceModel, functional: AdditiveFunctional
 ) -> float:
@@ -240,19 +228,13 @@ def exact_hmm_smooth(
     return total
 
 
-def quadrature_grid(
-    center: float, scale: float, half_width_scales: float = 10.0, panels: int = 10_000
-) -> np.ndarray:
-    """Evenly spaced Simpson grid over ``center +- half_width_scales * scale``."""
+def quadrature_grid(scale: float, panels: int = 10_000) -> np.ndarray:
+    """Evenly spaced Simpson grid over ``+- 10 * scale``."""
     if panels < 2 or panels % 2:
         raise ValueError("panels must be a positive even number")
-    if not math.isfinite(center):
-        raise ValueError(f"center must be finite, got {center}")
-    for name, value in (("scale", scale), ("half_width_scales", half_width_scales)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    half = half_width_scales * scale
-    return np.linspace(center - half, center + half, panels + 1)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    return np.linspace(-10.0 * scale, 10.0 * scale, panels + 1)
 
 
 def _simpson_weights(grid: np.ndarray) -> np.ndarray:
@@ -382,10 +364,4 @@ def theory_bounds(lag: int, horizon: int, n_particles: int) -> TheoryBounds:
         + math.sqrt(width) * math.sqrt(span) / math.sqrt(n_particles)
     )
     deviation = width * min(width, span)
-    return TheoryBounds(
-        lag=lag,
-        horizon=horizon,
-        n_particles=n_particles,
-        lq_error_factor=lq,
-        deviation_factor=float(deviation),
-    )
+    return TheoryBounds(lq_error_factor=lq, deviation_factor=float(deviation))

@@ -510,7 +510,11 @@ class BackwardKernel:
                 break
             pending, states = pending[~accept], states[~accept]
             if pending.size <= stragglers:
-                # at most isqrt(N) targets hold at most that many states
+                # at most isqrt(N) targets hold at most that many states.
+                # The distinct-state test below would stop here too, but
+                # only after the first round's sort has reordered the
+                # targets; the exact draw would then take its uniforms in
+                # that order, and the seeded draws would change
                 break
             if proposals == targets.size:
                 # after the first round, one stable sort per step: from
@@ -524,12 +528,10 @@ class BackwardKernel:
             drawn[pending] = self.draw(targets[pending], rng.random(pending.size))
         return drawn, proposals, pending.size
 
-    def rows(self, targets: np.ndarray | None = None) -> np.ndarray:
-        """The rows of the given targets (default: every time t+1
-        particle) as a (targets, N) array."""
-        size = self.next_positions.shape[0] if targets is None else targets.size
-        out = np.empty((size, self.positions.shape[0]))
-        for _, rows, column, members, which, _ in self._blocks(targets):
+    def rows(self) -> np.ndarray:
+        """The rows of every time t+1 particle as an (N, N) array."""
+        out = np.empty((self.next_positions.shape[0], self.positions.shape[0]))
+        for _, rows, column, members, which, _ in self._blocks(None):
             rows *= column
             rows /= rows.sum(axis=1)[:, None]
             out[members] = rows[which]
@@ -600,10 +602,6 @@ def _check_functional(history: ParticleHistory, functional: AdditiveFunctional):
         raise ValueError(
             f"functional horizon {functional.horizon} does not match "
             f"history horizon {history.horizon}"
-        )
-    if functional.lag > history.horizon:
-        raise ValueError(
-            f"lag {functional.lag} exceeds horizon {history.horizon}"
         )
 
 
@@ -870,9 +868,9 @@ def ffbsi_estimate(
         raise ValueError(
             "trajectories must be (n_paths, T+1) with the history's horizon"
         )
-    if trajectories.size and (
-        trajectories.min() < 0 or trajectories.max() >= history.n_particles
-    ):
+    if trajectories.shape[0] < 1:
+        raise ValueError("trajectories must hold at least one path, got 0")
+    if trajectories.min() < 0 or trajectories.max() >= history.n_particles:
         raise ValueError("trajectory indices out of range for this history")
 
     steps = history.horizon + 1

@@ -333,17 +333,25 @@ def test_analyze_reports_a_slope(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out)
+    assert list(report) == [
+        "method", "axis", "fixed_value", "slope", "stderr", "n_points"
+    ]
+    assert report["method"] == "ffbsi_direct" and report["axis"] == "T"
+    assert report["fixed_value"] == 300 and report["n_points"] == 3
     assert report["slope"] == pytest.approx(1.0, abs=1e-12)
-    assert report["n_points"] == 3
-    assert report["fixed_value"] == 300
-    assert "bound_overlay" not in report
+    assert report["stderr"] == pytest.approx(0.0, abs=1e-12)
     code, out, _ = run_cli(
         capsys, "analyze", "--table", str(table_path),
         "--method", "ffbsi_direct", "--axis", "T", "--overlay-osc", "2.0",
     )
     assert code == 0
-    overlay = json.loads(out)["bound_overlay"]
+    overlaid = json.loads(out)
+    overlay = overlaid.pop("bound_overlay")
+    assert overlaid == report
+    assert list(overlay) == ["scale", "predicted", "observed"]
+    assert overlay["scale"] > 0.0
     assert len(overlay["predicted"]) == 3
+    assert overlay["observed"] == [200.0, 400.0, 800.0]
     code, _, err = run_cli(
         capsys, "analyze", "--table", str(table_path),
         "--method", "path_space", "--axis", "T",
@@ -514,7 +522,7 @@ def test_oracle_gamma_on_an_independent_lgm(tmp_path, capsys):
     y = sc.read_observations_csv(data)[1]
     model = sc.make_lgm(0.0, 0.6, 1.0, y)
     expected = sc.path_space_asymptotic_variance(
-        model, sc.state_sum_functional(3), grid=sc.quadrature_grid(0.0, 0.6)
+        model, sc.state_sum_functional(3), grid=sc.quadrature_grid(0.6)
     )
     assert float(out.strip()) == pytest.approx(expected, rel=1e-15)
     # gamma without a config needs the full lgm description

@@ -330,7 +330,7 @@ def test_kernel_sample_draws_any_target_array_from_its_rows(monkeypatch, rounds)
         # distinct states
         assert proposals >= targets.size
         assert within_the_default_stop(records)
-    matrix = kernel.rows(np.array([7, 2, 5, 9]))
+    matrix = kernel.rows()[[7, 2, 5, 9]]
     statistic = 0.0
     for target, row in zip([7, 2, 5, 9], matrix):
         counts = np.bincount(drawn[targets == target], minlength=n)
@@ -1023,6 +1023,14 @@ def test_ffbsi_estimate_validation():
     # whole numbers in a float array are still not indices
     with pytest.raises(ValueError, match="float64"):
         sc.ffbsi_estimate(np.zeros((4, 3)), history, functional)
+
+
+def test_ffbsi_estimate_refuses_zero_trajectories():
+    # the mean over no paths was NaN, after a "Mean of empty slice" warning
+    model, history = ffbsi_small_case()
+    functional = sc.state_sum_functional(2)
+    with pytest.raises(ValueError, match="at least one path"):
+        sc.ffbsi_estimate(np.zeros((0, 3), dtype=np.int64), history, functional)
 
 
 def test_rmse_scaling_halves_with_quadruple_particles():
